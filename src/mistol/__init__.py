@@ -49,7 +49,6 @@ from .models import (
 )
 from .numerics import (
     DomainError,
-    GaussianExpectation,
     NumericsError,
     PartitionedInfo,
     SingularBlockError,

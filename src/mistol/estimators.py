@@ -19,7 +19,7 @@ from .models import Design, ModelSpec
 from .numerics import (
     DomainError,
     NumericsError,
-    std_normal_cdf,
+    std_normal_mills_ratio,
     std_normal_pdf,
     _legendre_rule,
 )
@@ -110,22 +110,27 @@ def eb() -> AEstimator:
 def qhat_weight(z, eps: float = 0.05):
     """Posterior-mean weight for a scale mixture restricted to [eps, 1].
 
-    Evaluated as a ratio of two one-dimensional integrals by an adaptive
+    The ratio of int_0^tmax e^{-z^2 t^2/2} dt to the same integral with
+    weight 1/(1 - t^2), tmax = sqrt(1 - eps). The substitution t = tanh u
+    absorbs that weight's endpoint singularity: the numerator becomes
+    int_0^atanh(tmax) e^{-z^2 tanh^2(u)/2} sech^2(u) du and the denominator
+    the same integral without sech^2. Both are evaluated by an adaptive
     (node-doubling) Gauss-Legendre rule. Vectorized in z.
     """
     eps = float(eps)
     _require(0.0 < eps < 1.0, "qhat needs eps strictly inside (0, 1)")
     z = np.asarray(z, dtype=float)
-    tmax = math.sqrt(1.0 - eps)
+    umax = math.atanh(math.sqrt(1.0 - eps))
     previous = None
     nodes = 60
     while nodes <= 1920:
         gx, gw = _legendre_rule(nodes)
-        t = 0.5 * tmax * (gx + 1.0)
-        w = 0.5 * tmax * gw
+        u = 0.5 * umax * (gx + 1.0)
+        w = 0.5 * umax * gw
+        t = np.tanh(u)
         kernel = np.exp(-0.5 * np.multiply.outer(z * z, t * t))
-        num = kernel @ w
-        den = kernel @ (w / (1.0 - t * t))
+        num = kernel @ (w / np.cosh(u) ** 2)
+        den = kernel @ w
         ratio = num / den
         if previous is not None and np.max(np.abs(ratio - previous)) <= 1e-12 * (
             1.0 + np.max(np.abs(ratio))
@@ -250,14 +255,21 @@ def atan_shrink(m: float = 0.502) -> AEstimator:
 
 
 def uniform_bayes(m: float = 2.0) -> AEstimator:
-    """Posterior mean under the uniform prior on [-m, m] (closed form)."""
+    """Posterior mean under the uniform prior on [-m, m] (closed form).
+
+    a(z) = z + (phi(z+m) - phi(z-m))/(Phi(z+m) - Phi(z-m)) is odd in z. For
+    u = |z| it is written with the Mills ratio R and e = exp(-2mu) as
+    u - (1 - e)/(R(u-m) - e R(u+m)), which keeps its digits where the
+    difference of normal CDFs cancels.
+    """
     m = float(m)
     _require(m > 0.0, "interval half-width must be positive")
 
     def a_fn(z):
-        num = std_normal_pdf(z + m) - std_normal_pdf(z - m)
-        den = std_normal_cdf(z + m) - std_normal_cdf(z - m)
-        return z + num / den
+        u = np.abs(z)
+        x = -2.0 * m * u  # 1 - e is taken as -expm1(x) to keep c0's digits
+        den = std_normal_mills_ratio(u - m) - np.exp(x) * std_normal_mills_ratio(u + m)
+        return np.sign(z) * (u + np.expm1(x) / den)
 
     c0 = float(a_fn(np.array([1e-6]))[0]) / 1e-6
     return AEstimator("uniform_bayes", a_fn, c0=c0, params=(("m", m),))

@@ -54,6 +54,11 @@ def std_normal_cdf(x):
     return special.ndtr(np.asarray(x, dtype=float))
 
 
+def std_normal_mills_ratio(x):
+    """Mills ratio (1 - Phi(x))/phi(x), without cancellation for large x."""
+    return math.sqrt(math.pi / 2.0) * special.erfcx(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
 def std_normal_quantile(p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
@@ -70,21 +75,11 @@ def chisq_quantile(p: float, df: int) -> float:
     return float(special.chdtri(df, 1.0 - p))
 
 
-def central_chisq_cdf(x, df):
-    x = np.asarray(x, dtype=float)
-    return np.where(x <= 0.0, 0.0, special.gammainc(df / 2.0, x / 2.0))
-
-
 def noncentral_chisq_cdf(x: float, df: int, ncp: float) -> float:
-    """CDF of the noncentral chi-square distribution.
+    """CDF of the noncentral chi-square distribution (scipy's chndtr).
 
-    Computed as the Poisson(ncp/2)-weighted mixture of central chi-square
-    CDFs with df, df+2, df+4, ... degrees of freedom. The series is summed
-    until a term falls below 1e-14 of the running total (and the Poisson
-    mode has been passed), giving roughly 1e-8 absolute accuracy or better
-    for the noncentralities that arise here.
-
-    Raises DomainError for x < 0, df <= 0 or ncp < 0.
+    Raises DomainError for x < 0, df <= 0 or ncp < 0, where chndtr would
+    return nan instead.
     """
     if df <= 0:
         raise DomainError("degrees of freedom must be positive")
@@ -92,38 +87,7 @@ def noncentral_chisq_cdf(x: float, df: int, ncp: float) -> float:
         raise DomainError("noncentrality must be nonnegative")
     if x < 0.0:
         raise DomainError("chi-square argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    lam = 0.5 * ncp
-    if lam == 0.0:
-        return float(central_chisq_cdf(x, df))
-    if lam > 700.0:
-        # e^{-lam} underflows; no use case here needs such noncentralities.
-        raise DomainError("noncentrality too large for series evaluation")
-    weight = math.exp(-lam)  # Poisson(lam) mass at k = 0
-    total = 0.0
-    k = 0
-    while True:
-        term = weight * float(special.gammainc(df / 2.0 + k, x / 2.0))
-        total += term
-        if k > lam and term < 1e-14 * total:
-            break
-        if k > 100000:
-            raise NumericsError("noncentral chi-square series failed to converge")
-        k += 1
-        weight *= lam / k
-    return min(total, 1.0)
-
-
-def gamma_log_derivatives(x):
-    """First and second derivatives of log Gamma (digamma, trigamma).
-
-    Returns a pair of arrays. Raises DomainError for arguments <= 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("log-gamma derivatives require positive arguments")
-    return special.digamma(x), special.polygamma(1, x)
+    return float(special.chndtr(x, df, ncp))
 
 
 # ---------------------------------------------------------------------------
@@ -153,74 +117,30 @@ def _check_finite(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class GaussianExpectation:
-    """Quadrature engine for E f(Z) with Z ~ N(shift, 1).
+def shifted_normal_nodes(shift: float, knots=None):
+    """Nodes z and weights w such that w @ f(z) approximates E f(Z), Z ~ N(shift, 1).
 
-    Smooth integrands use a Gauss-Hermite rule; integrands flagged as
-    non-smooth use an adaptive doubling trapezoid on [shift - halfwidth,
-    shift + halfwidth], pre-split at supplied knot locations so that kinks
-    and jumps land on panel boundaries.
+    With knots None (a smooth integrand) the rule is 200-node Gauss-Hermite.
+    Otherwise [shift - 8, shift + 8] is split at the knots inside it, each
+    panel is cut to width <= 2 and gets 60-node Gauss-Legendre with the
+    normal density folded into the weights, so that kinks and jumps land
+    on panel boundaries. An empty tuple of knots still takes this route.
     """
-
-    nodes: int = 200
-    halfwidth: float = 8.0
-    trapezoid_tol: float = 1e-11
-    max_doublings: int = 22
-
-    def hermite_points(self, shift: float):
-        x, w = _hermite_rule(self.nodes)
+    if knots is None:
+        x, w = _hermite_rule(200)
         return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
-
-    def expect(self, f, shift: float, *, smooth: bool = True, knots=()) -> float:
-        if smooth and not knots:
-            z, w = self.hermite_points(shift)
-            vals = _check_finite(f(z), "Gauss-Hermite expectation")
-            return float(w @ vals)
-        return self._expect_trapezoid(f, shift, knots)
-
-    def _expect_trapezoid(self, f, shift: float, knots) -> float:
-        lo, hi = shift - self.halfwidth, shift + self.halfwidth
-        cuts = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
-
-        def g(z):
-            z = np.asarray(z, dtype=float)
-            return _check_finite(f(z), "trapezoid expectation") * std_normal_pdf(z - shift)
-
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            total += _adaptive_trapezoid(
-                g, a, b, tol=self.trapezoid_tol, max_doublings=self.max_doublings
-            )
-        return total
-
-
-def _adaptive_trapezoid(g, a: float, b: float, *, tol: float, max_doublings: int) -> float:
-    """Trapezoid rule with interval doubling until two refinements agree."""
-    if b <= a:
-        return 0.0
-    width = b - a
-    ends = g(np.array([a, b]))
-    estimate = 0.5 * width * float(ends[0] + ends[1])
-    n = 1
-    for _ in range(max_doublings):
-        mid = a + width * (np.arange(n) + 0.5) / n
-        refined = 0.5 * estimate + 0.5 * (width / n) * float(np.sum(g(mid)))
-        n *= 2
-        if abs(refined - estimate) <= tol * (1.0 + abs(refined)):
-            return refined
-        estimate = refined
-    raise NumericsError("adaptive trapezoid failed to converge")
-
-
-_DEFAULT_EXPECTATION = GaussianExpectation()
-
-
-def expect_under_shifted_normal(f, shift: float, *, smooth: bool = True, knots=(),
-                                rule: GaussianExpectation | None = None) -> float:
-    """E f(Z) for Z ~ N(shift, 1). See GaussianExpectation for the rules."""
-    engine = rule if rule is not None else _DEFAULT_EXPECTATION
-    return engine.expect(f, shift, smooth=smooth, knots=knots)
+    lo, hi = shift - 8.0, shift + 8.0
+    edges = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
+    gx, gw = _legendre_rule(60)
+    zs, ws = [], []
+    for left, right in zip(edges[:-1], edges[1:]):
+        bounds = np.linspace(left, right, max(1, math.ceil((right - left) / 2.0)) + 1)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            mid, half = (a + b) / 2.0, (b - a) / 2.0
+            z = mid + half * gx
+            zs.append(z)
+            ws.append(half * gw * std_normal_pdf(z - shift))
+    return np.concatenate(zs), np.concatenate(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +274,3 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
         raise ValueError("seed and replication index must be nonnegative")
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(rep))))
 
-
-def pairwise_sum(values) -> float:
-    """Order-stable summation (numpy's pairwise algorithm over a 1-d copy)."""
-    arr = np.ascontiguousarray(np.asarray(values, dtype=float).ravel())
-    return float(np.sum(arr))

@@ -17,17 +17,15 @@ import numpy as np
 from .estimators import AEstimator
 from .models import Design, Estimand, ModelSpec, information_at_null
 from .numerics import (
-    GaussianExpectation,
     NumericsError,
-    _legendre_rule,
+    _check_finite,
     partitioned_inverse,
+    shifted_normal_nodes,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
 from .tolerance import kappa_squared_block
-
-_DEFAULT_RULE = GaussianExpectation()
 
 
 # ---------------------------------------------------------------------------
@@ -161,45 +159,25 @@ def risk_closed_form(kind: str, a, *, m: float = 1.0, c: float = 0.5):
     return out if out.shape else float(out)
 
 
-def _piecewise_gaussian_expect(fn, center: float, knots, halfwidth: float = 8.0):
-    """Integrate fn(z)*phi(z-center) splitting at the listed knots.
+def _expected_loss(est: AEstimator, a, loss):
+    """E loss(a_hat(Z) - a) with Z ~ N(a, 1) at each a, by quadrature.
 
-    Panels between knots are further cut to width <= 2 and handled by
-    60-node Gauss-Legendre, which is exact to machine precision for the
-    smooth pieces that arise here.
+    Smooth rules without knots take the Gauss-Hermite nodes; the others
+    the knot-split Gauss-Legendre nodes. Shifts are handled one at a time,
+    since some rules expand every z over hundreds of inner nodes.
     """
-    lo, hi = center - halfwidth, center + halfwidth
-    edges = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
-    gx, gw = _legendre_rule(60)
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(math.ceil((right - left) / 2.0)))
-        bounds = np.linspace(left, right, pieces + 1)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            mid, half = (a + b) / 2.0, (b - a) / 2.0
-            z = mid + half * gx
-            total += half * float(
-                (np.asarray(fn(z), dtype=float) * std_normal_pdf(z - center)) @ gw
-            )
-    return total
-
-
-def risk_numeric(est: AEstimator, a, *, rule: GaussianExpectation | None = None):
-    """Limiting MSE E{a_hat(Z) - a}^2 with Z ~ N(a, 1), by quadrature."""
-    rule = rule or _DEFAULT_RULE
+    knots = None if est.smooth and not est.knots else est.knots
     a_arr = np.atleast_1d(np.asarray(a, dtype=float))
     out = np.empty_like(a_arr)
     for i, ai in enumerate(a_arr):
-        def sq_err(z, ai=ai):
-            return (np.asarray(est.a_fn(np.asarray(z, dtype=float))) - ai) ** 2
-
-        if est.smooth and not est.knots:
-            out[i] = rule.expect(sq_err, shift=ai)
-        else:
-            out[i] = _piecewise_gaussian_expect(
-                sq_err, ai, est.knots, halfwidth=rule.halfwidth
-            )
+        z, w = shifted_normal_nodes(ai, knots)
+        out[i] = w @ _check_finite(loss(est.a_fn(z) - ai), "risk quadrature")
     return out if np.asarray(a).shape else float(out[0])
+
+
+def risk_numeric(est: AEstimator, a):
+    """Limiting MSE E{a_hat(Z) - a}^2 with Z ~ N(a, 1), by quadrature."""
+    return _expected_loss(est, a, np.square)
 
 
 # ---------------------------------------------------------------------------
@@ -213,31 +191,16 @@ def mean_abs_normal(shift):
     return out if out.shape else float(out)
 
 
-def l1_risk(
-    est: AEstimator, a, rho: float, *, rule: GaussianExpectation | None = None
-):
+def l1_risk(est: AEstimator, a, rho: float):
     """Limiting mean absolute error, in narrow-standard-deviation units.
 
     rho is the bias-to-noise ratio of the geometry; the curve is
     E_Z mean_abs_normal(rho*(a_hat(Z) - a)) with Z ~ N(a, 1).
     """
-    rule = rule or _DEFAULT_RULE
     rho = float(rho)
     if rho < 0.0:
         raise ValueError("rho must be nonnegative")
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-    out = np.empty_like(a_arr)
-    for i, ai in enumerate(a_arr):
-        def abs_loss(z, ai=ai):
-            return mean_abs_normal(rho * (np.asarray(est.a_fn(np.asarray(z, dtype=float))) - ai))
-
-        if est.smooth and not est.knots:
-            out[i] = rule.expect(abs_loss, shift=ai)
-        else:
-            out[i] = _piecewise_gaussian_expect(
-                abs_loss, ai, est.knots, halfwidth=rule.halfwidth
-            )
-    return out if np.asarray(a).shape else float(out[0])
+    return _expected_loss(est, a, lambda d: mean_abs_normal(rho * d))
 
 
 def l1_tolerance(rho: float) -> float:
@@ -337,13 +300,13 @@ class RiskProfile:
         return float(self.grid[int(np.argmax(self.values))])
 
 
-def _risk_evaluator(est: AEstimator, loss: str, rho, rule):
+def _risk_evaluator(est: AEstimator, loss: str, rho):
     if loss == "l2":
-        return lambda a: risk_numeric(est, a, rule=rule)
+        return lambda a: risk_numeric(est, a)
     if loss == "l1":
         if rho is None:
             raise ValueError("absolute-error risk needs the geometry ratio rho")
-        return lambda a: l1_risk(est, a, float(rho), rule=rule)
+        return lambda a: l1_risk(est, a, float(rho))
     raise ValueError(f"unknown loss {loss!r} (use 'l2' or 'l1')")
 
 
@@ -353,23 +316,21 @@ def risk_profile(
     *,
     loss: str = "l2",
     rho: float | None = None,
-    rule: GaussianExpectation | None = None,
 ) -> RiskProfile:
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    evaluate = _risk_evaluator(est, loss, rho, rule)
-    values = np.array([float(evaluate(float(a))) for a in grid])
+    values = _risk_evaluator(est, loss, rho)(grid)
     label = loss if loss == "l2" else f"l1:rho={float(rho):g}"
     return RiskProfile(est.spec_string(), label, grid, values)
 
 
-def limit_mse(geometry: LimitGeometry, est: AEstimator, delta: float, *, rule=None) -> float:
+def limit_mse(geometry: LimitGeometry, est: AEstimator, delta: float) -> float:
     """Scaled limiting MSE of the focus estimate at departure delta.
 
     Equals tau0^2 + bias_slope^2*kappa^2*R(delta/kappa) where R is the
     unit-free risk curve of the rule.
     """
     a = geometry.shift_at(delta)
-    r = float(risk_numeric(est, a, rule=rule))
+    r = float(risk_numeric(est, a))
     return geometry.tau0_sq + geometry.bias_slope**2 * geometry.kappa**2 * r
 
 
@@ -379,7 +340,6 @@ def risk_table(
     *,
     loss: str = "l2",
     rho: float | None = None,
-    rule: GaussianExpectation | None = None,
 ):
     """Risk curves for several rules on a common grid.
 
@@ -390,16 +350,16 @@ def risk_table(
     names = []
     columns = [grid]
     for est in estimators:
-        profile = risk_profile(est, grid, loss=loss, rho=rho, rule=rule)
+        profile = risk_profile(est, grid, loss=loss, rho=rho)
         names.append(profile.name.replace(",", ";"))
         columns.append(profile.values)
     header = ["a"] + names
     return header, np.column_stack(columns)
 
 
-def write_risk_csv(path, estimators, grid=None, *, loss="l2", rho=None, rule=None):
+def write_risk_csv(path, estimators, grid=None, *, loss="l2", rho=None):
     """Write a deterministic risk table as CSV (full-precision floats)."""
-    header, matrix = risk_table(estimators, grid, loss=loss, rho=rho, rule=rule)
+    header, matrix = risk_table(estimators, grid, loss=loss, rho=rho)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in matrix:
@@ -408,9 +368,16 @@ def write_risk_csv(path, estimators, grid=None, *, loss="l2", rho=None, rule=Non
 
 
 def crossing_points(f, g, lo: float, hi: float, *, samples: int = 501, tol: float = 1e-6):
-    """Abscissas in (lo, hi) where f - g changes sign, refined by bisection."""
+    """Abscissas in (lo, hi) where f - g changes sign, refined by bisection.
+
+    f and g take arrays: each is sampled once on the whole grid of
+    `samples` points (a scalar result broadcasts), then called with single
+    floats while a sign change is bisected.
+    """
     xs = np.linspace(float(lo), float(hi), int(samples))
-    diffs = np.array([float(f(x)) - float(g(x)) for x in xs])
+    diffs = np.broadcast_to(
+        np.asarray(f(xs), dtype=float) - np.asarray(g(xs), dtype=float), xs.shape
+    )
     found = []
     for x0, x1, d0, d1 in zip(xs[:-1], xs[1:], diffs[:-1], diffs[1:]):
         if d0 == 0.0:
@@ -442,11 +409,10 @@ def risk_crossings(
     *,
     loss: str = "l2",
     rho: float | None = None,
-    rule: GaussianExpectation | None = None,
 ):
     """Departure sizes where two rules' risk curves cross."""
-    fa = _risk_evaluator(est_a, loss, rho, rule)
-    fb = _risk_evaluator(est_b, loss, rho, rule)
+    fa = _risk_evaluator(est_a, loss, rho)
+    fb = _risk_evaluator(est_b, loss, rho)
     return crossing_points(fa, fb, lo, hi)
 
 
@@ -458,8 +424,7 @@ def level_crossings(
     *,
     loss: str = "l2",
     rho: float | None = None,
-    rule: GaussianExpectation | None = None,
 ):
     """Departure sizes where a rule's risk curve crosses a constant level."""
-    fa = _risk_evaluator(est, loss, rho, rule)
+    fa = _risk_evaluator(est, loss, rho)
     return crossing_points(fa, lambda _a: float(level), lo, hi)

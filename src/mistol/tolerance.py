@@ -17,7 +17,6 @@ import numpy as np
 from .models import Design, ModelSpec, information_at_null, mean_abs_departure_score
 from .numerics import (
     PartitionedInfo,
-    central_chisq_cdf,
     chisq_quantile,
     noncentral_chisq_cdf,
     partitioned_inverse,
@@ -193,7 +192,3 @@ def tolerance_report(model: ModelSpec, design: Design) -> ToleranceReport:
         aic_border=aic_narrow_prob(1.0, 1),
     )
 
-
-def central_chisq_tail(x: float, df: int) -> float:
-    """Upper tail of the central chi-square, for report rendering."""
-    return 1.0 - float(central_chisq_cdf(x, df))

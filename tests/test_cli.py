@@ -3,12 +3,14 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mistol.estimators import parse_estimator, compromise_estimate
+from mistol import cli
+from mistol.estimators import compromise_estimate, estimator_names, parse_estimator
 
 
 def run_cli(*args):
@@ -148,6 +150,17 @@ class TestRiskCommand:
         code, _, err = run_cli("risk", "--estimator", "nope")
         assert code == 2
         assert "efron_morris" in err
+
+
+@pytest.mark.parametrize("loss", ["l2", "l1:1.0"])
+@pytest.mark.parametrize("name", estimator_names())
+def test_risk_every_rule_runs_clean(name, loss, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["risk", "--estimator", name, "--loss", loss])
+    assert code == 0, capsys.readouterr().err
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime
 
 
 @pytest.fixture
@@ -322,19 +335,32 @@ class TestSelectCommand:
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "departure size a: 1.0 (noncentrality 1.0)"
-        assert "narrow_prob_aic=0.6527565366822701" in lines[1]
-        assert "narrow_prob_schwarz=0.8732676990448652" in lines[1]
-        assert "power@0.05=0.1700750457530873" in lines[1]
-        assert "narrow_prob_aic=0.7309879399640898" in lines[2]
-        assert "power@0.05=0.13271001423251672" in lines[2]
+        assert "narrow_prob_aic=0.6527565366822697" in lines[1]
+        assert "narrow_prob_schwarz=0.873267699044865" in lines[1]
+        assert "power@0.05=0.17007504575308752" in lines[1]
+        assert "narrow_prob_aic=0.73098793996409" in lines[2]
+        assert "power@0.05=0.13271001423251683" in lines[2]
 
     def test_defaults_at_null(self):
         code, out, _ = run_cli("select")
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 5  # header + q = 1..4
-        assert "narrow_prob_aic=0.8427007929497151" in lines[1]
+        assert "narrow_prob_aic=0.8427007929497149" in lines[1]
         assert "narrow_prob_schwarz" not in out  # no --n given
+
+    def test_large_departure(self):
+        code, out, _ = run_cli("select", "--a", "40")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 5
+        for q, line in enumerate(lines[1:], start=1):
+            fields = line.split()
+            assert fields[0] == f"q={q}"
+            assert fields[1] == "narrow_prob_aic=0.0"
+            powers = [f for f in fields[2:] if f.startswith("power@")]
+            assert len(powers) == 4
+            assert all(f.endswith("=1.0") for f in powers)
 
     def test_validation(self):
         assert run_cli("select", "--q", "0")[0] == 2

@@ -127,7 +127,7 @@ class TestRuleStructure:
 class TestQhat:
     def test_weight_at_zero_closed_form(self):
         # w(0) = tmax / atanh(tmax) with tmax = sqrt(1 - eps)
-        for eps in (0.02, 0.05, 0.3, 0.8):
+        for eps in (1e-9, 1e-6, 0.02, 0.05, 0.3, 0.8):
             tmax = math.sqrt(1.0 - eps)
             assert float(qhat_weight(0.0, eps)) == pytest.approx(
                 tmax / math.atanh(tmax), abs=1e-12
@@ -234,6 +234,25 @@ class TestPriorRules:
         numeric = bayes_estimator(DensityPrior(lambda a: np.full_like(a, 1.0 / (2 * m)), -m, m))
         for z in (0.0, 0.5, 1.0, 2.5, 6.0):
             assert aval(est, z) == pytest.approx(aval(numeric, z), abs=1e-9)
+
+    def test_uniform_bayes_matches_posterior_quadrature(self):
+        for m in (0.5, 2.0, 4.0):
+            est = uniform_bayes(m)
+            numeric = bayes_estimator(
+                DensityPrior(lambda a, m=m: np.full_like(a, 1.0 / (2 * m)), -m, m)
+            )
+            z = np.linspace(-8.0, 8.0, 161)
+            assert np.max(np.abs(est.a(z) - numeric.a(z))) < 1e-12, m
+
+    def test_uniform_bayes_bounded_far_out(self):
+        # the posterior mean of a prior on [-m, m] stays inside (-m, m)
+        m = 2.0
+        z = np.array([10.0, 30.0, 100.0, 1e3, 1e6])
+        for sign in (1.0, -1.0):
+            vals = uniform_bayes(m).a(sign * z)
+            assert np.all(np.isfinite(vals))
+            assert np.all(np.abs(vals) < m)
+            assert np.all(np.sign(vals) == sign)
 
     def test_posterior_mean_tweedie_identity(self):
         # posterior mean = z + d/dz log evidence

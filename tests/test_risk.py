@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mistol.estimators import (
+    AEstimator,
     atan_shrink,
     eb,
     efron_morris,
@@ -19,7 +20,7 @@ from mistol.estimators import (
     wide_rule,
 )
 from mistol.models import get_model
-from mistol.numerics import replication_rng, std_normal_quantile
+from mistol.numerics import NumericsError, replication_rng, std_normal_quantile
 from mistol.risk import (
     ci_coverage,
     crossing_points,
@@ -174,6 +175,15 @@ class TestRiskCurveTable:
         assert got.shape == expected.shape
         diff = np.abs(got[:, 1:] - expected[:, 1:])
         assert float(np.max(diff)) < 2e-3
+
+    def test_nonfinite_integrand_rejected(self):
+        # log is nan on the negative nodes, on either quadrature path
+        smooth = AEstimator("log", np.log, c0=0.0)
+        knotted = AEstimator("log", np.log, c0=0.0, smooth=False, knots=(0.0,))
+        for est in (smooth, knotted):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                with pytest.raises(NumericsError, match="non-finite"):
+                    risk_numeric(est, 0.0)
 
     def test_symmetry_in_departure_sign(self):
         for est in (eb(), qhat(0.05), pretest(1.0), efron_morris(0.502), mlplus()):

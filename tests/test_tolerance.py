@@ -11,7 +11,6 @@ from mistol.tolerance import (
     POWER_LEVELS,
     aic_narrow_prob,
     border_distances,
-    central_chisq_tail,
     danger_index,
     detection_power,
     kappa,
@@ -313,8 +312,3 @@ class TestToleranceReport:
         report = tolerance_report(model, design)
         assert report.n == 20
 
-
-def test_central_chisq_tail():
-    assert central_chisq_tail(0.0, 1) == pytest.approx(1.0, abs=1e-15)
-    # chi2_2 upper tail is exp(-x/2)
-    assert central_chisq_tail(3.0, 2) == pytest.approx(math.exp(-1.5), abs=1e-13)
