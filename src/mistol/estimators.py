@@ -19,6 +19,7 @@ from .models import Design, ModelSpec
 from .numerics import (
     DomainError,
     NumericsError,
+    central_gradient,
     std_normal_mills_ratio,
     std_normal_pdf,
     _legendre_rule,
@@ -533,15 +534,15 @@ class FitResult:
     """One maximized likelihood.
 
     params holds theta for a narrow fit and theta followed by gamma for a
-    wide fit; observed_info is the negative Hessian of the total
-    log-likelihood at the optimum.
+    wide fit. The fit is certified: loglik is finite and grad_norm, the
+    central-difference gradient norm at params, is at most
+    1e-8*(1+|loglik|).
     """
 
     params: np.ndarray
     theta: np.ndarray
     gamma: np.ndarray | None
     loglik: float
-    observed_info: np.ndarray
     iterations: int
     grad_norm: float
     method: str
@@ -549,17 +550,6 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.grad_norm <= 1e-8 * (1.0 + abs(self.loglik))
-
-
-def _fd_gradient(f, x):
-    g = np.empty_like(x)
-    for j in range(x.size):
-        h = 1e-6 * (1.0 + abs(x[j]))
-        up, dn = x.copy(), x.copy()
-        up[j] += h
-        dn[j] -= h
-        g[j] = (f(up) - f(dn)) / (2.0 * h)
-    return g
 
 
 def _fd_hessian(f, x):
@@ -599,7 +589,7 @@ def maximize_loglik(f, x0, max_iterations: int = 200):
         raise FitError("starting point lies outside the likelihood support")
     trace = []
     for iteration in range(max_iterations):
-        grad = _fd_gradient(f, x)
+        grad = central_gradient(f, x)
         gnorm = float(np.linalg.norm(grad))
         trace.append((float(loglik), gnorm))
         if gnorm <= 1e-8 * (1.0 + abs(loglik)):
@@ -615,54 +605,66 @@ def maximize_loglik(f, x0, max_iterations: int = 200):
         if step is None:
             step = grad / max(1.0, float(np.linalg.norm(grad)))
         scale = 1.0
-        improved = False
         for _ in range(60):
             trial = x + scale * step
             trial_ll = f(trial)
             if np.isfinite(trial_ll) and trial_ll > loglik:
                 x, loglik = trial, trial_ll
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
-            grad = _fd_gradient(f, x)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= 1e-8 * (1.0 + abs(loglik)):
-                return x, float(loglik), iteration + 1, gnorm
+        else:
+            # x is unchanged, so its gradient is the one just found too large
             raise FitError(
                 f"line search stalled at gradient norm {gnorm:.3e}", trace
             )
     raise FitError("maximum Newton iterations exceeded", trace)
 
 
-def _finish_fit(model, y, design, params, p, iterations, method):
+def _checked_sample(model, y, design) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise DomainError("cannot fit an empty sample")
+    if model.data_check is not None:
+        model.data_check(y, design)
+    return y
+
+
+def _certified_fit(model, y, design, params, closed: bool) -> FitResult:
+    """Certify closed-form params, or run Newton ascent from params.
+
+    A Newton fit is certified by maximize_loglik itself; a closed-form fit
+    gets one support check and one gradient check here.
+    """
+    p = model.p
+    narrow = params.size == p
     gamma0 = np.asarray(model.gamma0, dtype=float)
-    narrow = p == len(params)
 
     def objective(x):
         if narrow:
             return model.loglik(y, design, x, gamma0)
         return model.loglik(y, design, x[:p], x[p:])
 
-    loglik = objective(params)
-    if not np.isfinite(loglik):
-        raise FitError(
-            f"{method} fit of {model.name!r} lands outside the likelihood support"
-        )
-    grad = _fd_gradient(objective, params)
-    gnorm = float(np.linalg.norm(grad))
-    if not np.isfinite(gnorm) or gnorm > 1e-8 * (1.0 + abs(loglik)):
-        raise FitError(
-            f"{method} fit of {model.name!r} reports gradient norm {gnorm:.3e} "
-            f"above tolerance", [(float(loglik), gnorm)]
-        )
-    observed = -_fd_hessian(objective, params)
+    if closed:
+        method, iterations = "closed", 0
+        loglik = objective(params)
+        if not np.isfinite(loglik):
+            raise FitError(
+                f"closed fit of {model.name!r} lands outside the likelihood support"
+            )
+        gnorm = float(np.linalg.norm(central_gradient(objective, params)))
+        if not np.isfinite(gnorm) or gnorm > 1e-8 * (1.0 + abs(loglik)):
+            raise FitError(
+                f"closed fit of {model.name!r} reports gradient norm {gnorm:.3e} "
+                f"above tolerance", [(float(loglik), gnorm)]
+            )
+    else:
+        method = "newton"
+        params, loglik, iterations, gnorm = maximize_loglik(objective, params)
     return FitResult(
         params=params,
         theta=params[:p],
         gamma=None if narrow else params[p:],
         loglik=float(loglik),
-        observed_info=observed,
         iterations=iterations,
         grad_norm=gnorm,
         method=method,
@@ -671,20 +673,13 @@ def _finish_fit(model, y, design, params, p, iterations, method):
 
 def fit_narrow(model: ModelSpec, y, design: Design) -> FitResult:
     """Maximize the narrow likelihood (departure pinned at its null value)."""
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise DomainError("cannot fit an empty sample")
-    if model.data_check is not None:
-        model.data_check(y, design)
-    gamma0 = np.asarray(model.gamma0, dtype=float)
+    y = _checked_sample(model, y, design)
     if model.narrow_fit_exact is not None:
         theta = np.asarray(model.narrow_fit_exact(y, design), dtype=float)
-        return _finish_fit(model, y, design, theta, model.p, 0, "closed")
-    theta, _, iters, _ = maximize_loglik(
-        lambda th: model.loglik(y, design, th, gamma0),
-        np.asarray(model.theta0, dtype=float),
+        return _certified_fit(model, y, design, theta, closed=True)
+    return _certified_fit(
+        model, y, design, np.asarray(model.theta0, dtype=float), closed=False
     )
-    return _finish_fit(model, y, design, theta, model.p, iters, "newton")
 
 
 def fit_wide(model: ModelSpec, y, design: Design) -> FitResult:
@@ -693,19 +688,11 @@ def fit_wide(model: ModelSpec, y, design: Design) -> FitResult:
     The warm start plus monotone line search guarantees the wide maximum
     is no smaller than the narrow one on the same data.
     """
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise DomainError("cannot fit an empty sample")
-    if model.data_check is not None:
-        model.data_check(y, design)
-    p = model.p
+    y = _checked_sample(model, y, design)
     if model.wide_fit_exact is not None:
         theta, gamma = model.wide_fit_exact(y, design)
         params = np.concatenate([np.asarray(theta, float), np.asarray(gamma, float)])
-        return _finish_fit(model, y, design, params, p, 0, "closed")
+        return _certified_fit(model, y, design, params, closed=True)
     narrow = fit_narrow(model, y, design)
     start = np.concatenate([narrow.theta, np.asarray(model.gamma0, dtype=float)])
-    params, _, iters, _ = maximize_loglik(
-        lambda x: model.loglik(y, design, x[:p], x[p:]), start
-    )
-    return _finish_fit(model, y, design, params, p, iters, "newton")
+    return _certified_fit(model, y, design, start, closed=False)

@@ -32,7 +32,7 @@ from .numerics import (
     partitioned_inverse,
     replication_rng,
 )
-from .risk import LimitGeometry, ci_coverage, limit_geometry
+from .risk import ci_coverage, limit_geometry
 from .tolerance import kappa
 
 KAPPA_METHODS = ("score-cov", "full-ml-cov", "gamma-sd")
@@ -275,8 +275,21 @@ class StudyResult:
         return path
 
 
-def _plugin_geometry(model, design, estimand, theta_hat) -> LimitGeometry:
-    return limit_geometry(model, design, estimand, theta=theta_hat)
+def _replicate(config: StudyConfig, r: int, gamma_true, design, estimand):
+    """Draw replication r at gamma_true and fit both models to it.
+
+    Returns the wide fit, the plug-in geometry at the narrow fit, and the
+    narrow and wide estimates of the estimand.
+    """
+    model = config.model
+    rng = replication_rng(config.seed, r)
+    y = model.sampler(np.asarray(model.theta0, dtype=float), gamma_true, design, rng)
+    narrow = fit_narrow(model, y, design)
+    wide = fit_wide(model, y, design)
+    geom = limit_geometry(model, design, estimand, theta=narrow.theta)
+    mu_n = estimand(narrow.theta, np.asarray(model.gamma0, dtype=float))
+    mu_w = estimand(wide.theta, wide.gamma)
+    return wide, geom, mu_n, mu_w
 
 
 def finite_sample_mse(config: StudyConfig) -> StudyResult:
@@ -309,14 +322,8 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
             mu_true = estimand(theta0, gamma_true)
 
             def worker(r, gamma_true=gamma_true, design=design, estimand=estimand, n=n):
-                rng = replication_rng(config.seed, r)
-                y = model.sampler(theta0, gamma_true, design, rng)
-                narrow = fit_narrow(model, y, design)
-                wide = fit_wide(model, y, design)
-                geom = _plugin_geometry(model, design, estimand, narrow.theta)
+                wide, geom, mu_n, mu_w = _replicate(config, r, gamma_true, design, estimand)
                 zn = z_statistic(float(wide.gamma[0]), float(gamma0[0]), geom.kappa, n)
-                mu_n = estimand(narrow.theta, gamma0)
-                mu_w = estimand(wide.theta, wide.gamma)
                 values = []
                 for _, est in estimators:
                     if est is None:
@@ -413,13 +420,7 @@ def coverage_study(config: StudyConfig, level: float | None = None) -> StudyResu
             mu_true = estimand(theta0, gamma_true)
 
             def worker(r, gamma_true=gamma_true, design=design, estimand=estimand, n=n):
-                rng = replication_rng(config.seed, r)
-                y = model.sampler(theta0, gamma_true, design, rng)
-                narrow = fit_narrow(model, y, design)
-                wide = fit_wide(model, y, design)
-                geom = _plugin_geometry(model, design, estimand, narrow.theta)
-                mu_n = estimand(narrow.theta, gamma0)
-                mu_w = estimand(wide.theta, wide.gamma)
+                _, geom, mu_n, mu_w = _replicate(config, r, gamma_true, design, estimand)
                 half_n = z * geom.tau0 / math.sqrt(n)
                 half_w = z * geom.tau / math.sqrt(n)
                 return (

@@ -22,6 +22,7 @@ from .numerics import (
     DomainError,
     NumericsError,
     PartitionedInfo,
+    central_gradient,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -107,10 +108,10 @@ class Estimand:
         theta, gamma = _pack_split(theta, gamma)
         return float(self.value(theta, gamma))
 
-    def gradients(self, theta, gamma, *, force_fd: bool = False):
+    def gradients(self, theta, gamma):
         """(d mu / d theta, d mu / d gamma) at the given point."""
         theta, gamma = _pack_split(theta, gamma)
-        if not force_fd and self.grad_theta is not None and self.grad_gamma is not None:
+        if self.grad_theta is not None and self.grad_gamma is not None:
             gt = np.atleast_1d(np.asarray(self.grad_theta(theta, gamma), dtype=float))
             gg = np.atleast_1d(np.asarray(self.grad_gamma(theta, gamma), dtype=float))
             return gt, gg
@@ -120,20 +121,8 @@ class Estimand:
         def on_packed(x):
             return float(self.value(x[:p], x[p:]))
 
-        grad = _central_gradient(on_packed, packed)
+        grad = central_gradient(on_packed, packed)
         return grad[:p], grad[p:]
-
-
-def _central_gradient(fn, x: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(x)
-    for j in range(x.size):
-        h = 1e-6 * (1.0 + abs(x[j]))
-        up = x.copy()
-        dn = x.copy()
-        up[j] += h
-        dn[j] -= h
-        grad[j] = (fn(up) - fn(dn)) / (2.0 * h)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +975,8 @@ def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
     def log_density(y, design, theta, gamma):
         p = probs(design, theta, gamma)
         y = np.asarray(y, dtype=float)
-        return y * np.log(p) + (1.0 - y) * np.log1p(-p)
+        with np.errstate(divide="ignore"):
+            return np.where(y == 1.0, np.log(p), np.log1p(-p))
 
     def score_null(y, design, theta):
         t = _centered(design)
@@ -1052,7 +1042,8 @@ def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
             return np.full(np.shape(y), -np.inf)
         p = probs(design, theta, gamma)
         y = np.asarray(y, dtype=float)
-        return y * np.log(p) + (1.0 - y) * np.log1p(-p)
+        with np.errstate(divide="ignore"):
+            return np.where(y == 1.0, np.log(p), np.log1p(-p))
 
     def score_null(y, design, theta):
         x = design.column(0)

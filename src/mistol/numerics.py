@@ -90,6 +90,19 @@ def noncentral_chisq_cdf(x: float, df: int, ncp: float) -> float:
     return float(special.chndtr(x, df, ncp))
 
 
+def central_gradient(fn, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar fn at x, step 1e-6*(1+|x_j|)."""
+    grad = np.empty_like(x)
+    for j in range(x.size):
+        h = 1e-6 * (1.0 + abs(x[j]))
+        up = x.copy()
+        dn = x.copy()
+        up[j] += h
+        dn[j] -= h
+        grad[j] = (fn(up) - fn(dn)) / (2.0 * h)
+    return grad
+
+
 # ---------------------------------------------------------------------------
 # expectations under a shifted standard normal
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -411,6 +412,37 @@ class TestFitting:
             narrow = fit_narrow(model, y, design)
             wide = fit_wide(model, y, design)
             assert wide.loglik >= narrow.loglik - 1e-9, name
+
+    def test_closed_fits_certify_with_one_gradient(self):
+        # one log-likelihood plus one central-difference gradient per fit
+        base = get_model("weibull-vs-exp")
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return base.log_density(*args)
+
+        model = dataclasses.replace(base, log_density=counted)
+        design = model.default_design(200)
+        y = model.sampler(np.array([1.0]), np.array([1.0]), design, replication_rng(5, 0))
+        fit_narrow(model, y, design)
+        assert len(calls) == 3
+        calls.clear()
+        fit_wide(model, y, design)
+        assert len(calls) == 5
+
+    def test_closed_fit_off_the_optimum_is_rejected(self):
+        base = get_model("weibull-vs-exp")
+
+        def off_optimum(y, design):
+            theta, gamma = base.wide_fit_exact(y, design)
+            return 1.01 * np.asarray(theta, dtype=float), gamma
+
+        model = dataclasses.replace(base, wide_fit_exact=off_optimum)
+        design = model.default_design(200)
+        y = model.sampler(np.array([1.0]), np.array([1.0]), design, replication_rng(5, 1))
+        with pytest.raises(FitError, match="above tolerance"):
+            fit_wide(model, y, design)
 
     def test_degenerate_data_raises_fit_error(self):
         model = get_model("transform-constant")

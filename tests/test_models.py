@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mistol.models import (
     transformation_constants,
     uniform_grid_design,
 )
-from mistol.numerics import DomainError, NumericsError, replication_rng
+from mistol.numerics import DomainError, NumericsError, central_gradient, replication_rng
 from mistol.tolerance import danger_index
 
 
@@ -228,6 +229,21 @@ class TestLogisticReduction:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestLogisticSaturation:
+    @pytest.mark.parametrize("name", ["logistic-quadratic", "logistic-eta"])
+    def test_saturated_loglik_is_finite(self, name):
+        # p rounds to 1 (or 0); the log-likelihood of matching y is 0, not nan
+        model = get_model(name)
+        design = model.default_design(20)
+        gamma = np.asarray(model.gamma0, dtype=float)
+        ones, zeros = np.ones(20), np.zeros(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert model.loglik(ones, design, np.array([800.0, 0.0]), gamma) == 0.0
+            assert model.loglik(zeros, design, np.array([-800.0, 0.0]), gamma) == 0.0
+            assert model.loglik(zeros, design, np.array([800.0, 0.0]), gamma) == -math.inf
+
+
 class TestEstimandGradients:
     def test_closed_gradients_match_finite_differences(self):
         for model in builtin_catalogue():
@@ -237,7 +253,11 @@ class TestEstimandGradients:
             for name in model.estimand_names():
                 est = model.estimand(name, design)
                 gt, gg = est.gradients(theta, gamma)
-                ft, fg = est.gradients(theta, gamma, force_fd=True)
+                p = theta.size
+                fd = central_gradient(
+                    lambda x: est(x[:p], x[p:]), np.concatenate([theta, gamma])
+                )
+                ft, fg = fd[:p], fd[p:]
                 assert np.allclose(gt, ft, rtol=1e-5, atol=1e-7), (model.name, name)
                 assert np.allclose(gg, fg, rtol=1e-5, atol=1e-7), (model.name, name)
 
