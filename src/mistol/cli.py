@@ -370,13 +370,21 @@ def _study_config_from_file(ns) -> tuple:
     kappa_method = section.get("kappa_method", "score-cov")
     if kappa_method not in mcstudy.KAPPA_METHODS:
         problems.append(f"unknown kappa_method {kappa_method!r}")
+    first = None
+    if "m" in section:
+        if model_name != "two-sample":
+            problems.append("m sets the first group size of the two-sample model only")
+        else:
+            try:
+                first = int(section["m"])
+            except ValueError:
+                problems.append(f"m must be an integer, got {section['m']!r}")
     if problems:
         raise UsageError("config errors: " + "; ".join(problems))
 
     model = get_model(model_name, **model_kwargs)
     design_factory = None
-    if "m" in section and model.name == "two-sample":
-        first = int(section["m"])
+    if first is not None:
         design_factory = lambda n: model.default_design(n, m=first)
     try:
         config = mcstudy.StudyConfig(
@@ -494,7 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo study from a config file")
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--workers", type=int)
+    sim.add_argument(
+        "--workers", type=int,
+        help="recorded in the manifest (at least 1); the study runs serially, "
+        "and its output is the same for any value",
+    )
     sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)
 

@@ -36,7 +36,10 @@ class AEstimator:
 
     c0 is the continuation value of the weight at z = 0 (the limit of
     a_hat(z)/z). Non-smooth rules list their kink/jump locations in knots so
-    quadrature can split there.
+    quadrature can split there. elementwise is False for a rule whose a_fn
+    couples the entries of an array (a quadrature stop or a failure shared
+    by all of them); c then takes such an array entry by entry, so that one
+    replication's weight never depends on the others in its batch.
     """
 
     name: str
@@ -45,12 +48,15 @@ class AEstimator:
     smooth: bool = True
     knots: tuple = ()
     params: tuple = ()  # ordered (key, value) pairs
+    elementwise: bool = True
 
     def a(self, z):
         return self.a_fn(np.asarray(z, dtype=float))
 
     def c(self, z):
         z = np.asarray(z, dtype=float)
+        if z.ndim and not self.elementwise:
+            return np.array([self.c(v) for v in z.ravel()]).reshape(z.shape)
         safe = np.where(z == 0.0, 1.0, z)
         out = np.where(z == 0.0, self.c0, self.a_fn(safe) / safe)
         return out if out.shape else float(out)
@@ -149,6 +155,7 @@ def qhat(eps: float = 0.05) -> AEstimator:
         lambda z: np.asarray(qhat_weight(z, eps)) * z,
         c0=w0,
         params=(("eps", float(eps)),),
+        elementwise=False,
     )
 
 
@@ -212,7 +219,7 @@ def bickel(m: float = 2.0) -> AEstimator:
         return _posterior_means(points, weights, z)
 
     c0 = float(a_fn(np.array([1e-6]))[0]) / 1e-6
-    return AEstimator("bickel", a_fn, c0=c0, params=(("m", m),))
+    return AEstimator("bickel", a_fn, c0=c0, params=(("m", m),), elementwise=False)
 
 
 def restricted(m: float = 1.0) -> AEstimator:
@@ -477,24 +484,37 @@ def bayes_estimator(prior, name: str = "bayes-custom") -> AEstimator:
         return _posterior_means(points, weights, z)
 
     c0 = float(a_fn(np.array([1e-6]))[0]) / 1e-6
-    return AEstimator(name, a_fn, c0=c0)
+    return AEstimator(name, a_fn, c0=c0, elementwise=False)
 
 
 # ---------------------------------------------------------------------------
 # combining fits
 
 
-def z_statistic(gamma_hat: float, gamma0: float, kappa_hat: float, n: int) -> float:
-    """Standardized departure sqrt(n)*(gamma_hat - gamma0)/kappa_hat."""
-    if kappa_hat <= 0.0:
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def z_statistic(gamma_hat, gamma0, kappa_hat, n: int):
+    """Standardized departure sqrt(n)*(gamma_hat - gamma0)/kappa_hat.
+
+    Elementwise over arrays; scalar inputs give a float.
+    """
+    kappa_hat = np.asarray(kappa_hat, dtype=float)
+    if np.any(kappa_hat <= 0.0):
         raise ValueError("kappa estimate must be positive")
-    return math.sqrt(n) * (float(gamma_hat) - float(gamma0)) / float(kappa_hat)
+    dev = np.asarray(gamma_hat, dtype=float) - np.asarray(gamma0, dtype=float)
+    return _float_or_array(math.sqrt(n) * dev / kappa_hat)
 
 
-def compromise_estimate(mu_narr: float, mu_wide: float, zn: float, est: AEstimator) -> float:
-    """Weighted combination {1-c(zn)}*mu_narr + c(zn)*mu_wide."""
-    c = float(est.c(float(zn)))
-    return (1.0 - c) * float(mu_narr) + c * float(mu_wide)
+def compromise_estimate(mu_narr, mu_wide, zn, est: AEstimator):
+    """Weighted combination {1-c(zn)}*mu_narr + c(zn)*mu_wide.
+
+    Elementwise over arrays; scalar inputs give a float.
+    """
+    c = np.asarray(est.c(zn), dtype=float)
+    mu_narr, mu_wide = np.asarray(mu_narr, dtype=float), np.asarray(mu_wide, dtype=float)
+    return _float_or_array((1.0 - c) * mu_narr + c * mu_wide)
 
 
 def harmonic_compromise(mu_narr: float, mu_wide: float, zn: float, h: Callable) -> float:
@@ -509,9 +529,13 @@ def harmonic_compromise(mu_narr: float, mu_wide: float, zn: float, h: Callable) 
     return math.exp((1.0 - w) * math.log(mu_narr) + w * math.log(mu_wide))
 
 
-def debias_estimate(mu_narr: float, b: float, gamma_hat: float, gamma0: float) -> float:
-    """First-order bias removal mu_narr - b*(gamma_hat - gamma0)."""
-    return float(mu_narr) - float(b) * (float(gamma_hat) - float(gamma0))
+def debias_estimate(mu_narr, b, gamma_hat, gamma0):
+    """First-order bias removal mu_narr - b*(gamma_hat - gamma0).
+
+    Elementwise over arrays; scalar inputs give a float.
+    """
+    dev = np.asarray(gamma_hat, dtype=float) - np.asarray(gamma0, dtype=float)
+    return _float_or_array(np.asarray(mu_narr, dtype=float) - np.asarray(b, dtype=float) * dev)
 
 
 # ---------------------------------------------------------------------------

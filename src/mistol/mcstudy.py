@@ -4,13 +4,18 @@ Three jobs: estimate the tolerance radius by simulation, measure the
 finite-sample mean squared error of compromise estimators against the
 limit-experiment prediction, and measure confidence-interval coverage
 under root-n departures. Replication r always draws from a stream keyed
-by (seed, r), so results are identical for any worker count.
+by (seed, r). The replications of a study cell are drawn and fitted one at
+a time, in order; everything after the fits (the plug-in geometry with its
+checks, z statistics, compromise estimates, coverage indicators, plug-in
+kappas) is then evaluated once for the whole cell, on arrays over the
+replication axis. A replication that fails at any stage is counted and
+left out. The workers setting is accepted and recorded in the manifest,
+but the engine runs serially, so output is identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,15 +30,14 @@ from .estimators import (
     parse_estimator,
     z_statistic,
 )
-from .models import Design, ModelSpec, information_at_null
+from .models import Design, ModelSpec
 from .numerics import (
     NumericsError,
     PartitionedInfo,
     partitioned_inverse,
     replication_rng,
 )
-from .risk import ci_coverage, limit_geometry
-from .tolerance import kappa
+from .risk import LimitGeometry, ci_coverage, limit_geometry
 
 KAPPA_METHODS = ("score-cov", "full-ml-cov", "gamma-sd")
 
@@ -55,7 +59,7 @@ class StudyConfig:
     estimators: tuple = ("narrow", "wide")
     kappa_method: str = "score-cov"
     level: float = 0.90
-    workers: int = 1
+    workers: int = 1  # validated and recorded; the engine runs serially
     design_factory: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -112,31 +116,35 @@ class StudyConfig:
         yield f"workers: {int(self.workers)}"
 
 
-def _run_replications(config: StudyConfig, worker):
-    """Evaluate worker(r) for each replication index, order-stable.
-
-    Exceptions classed as numerical failures become None entries.
-    """
-
-    def guarded(r):
-        try:
-            return worker(r)
-        except NumericsError:
-            return None
-
+def _checked_failures(config: StudyConfig, failures: int) -> int:
+    """The failure count of one cell, unless it is too large to average over."""
     reps = config.replications
-    if config.workers == 1:
-        results = [guarded(r) for r in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(guarded, range(reps)))
-    failures = sum(1 for r in results if r is None)
     if failures > 0.01 * reps:
         raise StudyError(
             f"{failures} of {reps} replications failed; aborting rather than "
             f"averaging a biased remainder"
         )
-    return results, failures
+    return failures
+
+
+def _fit_each(config: StudyConfig, fit_one) -> list:
+    """fit_one(r) for each replication in order, leaving out those that
+    raise a numerical failure."""
+    out = []
+    for r in range(config.replications):
+        try:
+            out.append(fit_one(r))
+        except NumericsError:
+            pass
+    if not out:
+        _checked_failures(config, config.replications)  # every one failed: aborts
+    return out
+
+
+def _draw(config: StudyConfig, r: int, gamma, design):
+    model = config.model
+    rng = replication_rng(config.seed, r)
+    return model.sampler(np.asarray(model.theta0, dtype=float), gamma, design, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -167,45 +175,39 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     model = config.model
     n = int(config.n_list[0])
     design = config.design_for(n)
-    theta0 = np.asarray(model.theta0, dtype=float)
     gamma0 = np.asarray(model.gamma0, dtype=float)
     p, q = model.p, model.q
     method = config.kappa_method
-
-    def draw(r):
-        rng = replication_rng(config.seed, r)
-        return model.sampler(theta0, gamma0, design, rng)
+    reps = config.replications
 
     if method == "score-cov":
-        def worker(r):
-            y = draw(r)
+        def fit_one(r):
+            y = _draw(config, r, gamma0, design)
             theta_hat = fit_narrow(model, y, design).theta
             scores = np.column_stack(model.score_null(y, design, theta_hat))
             centered = scores - scores.mean(axis=0)
-            info_hat = centered.T @ centered / n
-            kap = kappa(PartitionedInfo.from_full(info_hat, p))
-            return kap, info_hat
+            return centered.T @ centered / n
 
-        results, failures = _run_replications(config, worker)
-        kept = [r for r in results if r is not None]
-        kappas = np.array([k for k, _ in kept])
-        mean_info = np.mean([m for _, m in kept], axis=0)
+        infos = np.array(_fit_each(config, fit_one))
+        inv = partitioned_inverse(PartitionedInfo.from_full(infos, p))
+        kept = [r for r in range(len(infos)) if r not in inv.errors]
+        failures = _checked_failures(config, reps - len(kept))
+        kappas = np.sqrt(inv.inv22[kept, 0, 0]) if q == 1 else inv.inv22[kept]
         return KappaStudy(
             method=method,
             n=n,
-            replications=config.replications,
+            replications=reps,
             failures=failures,
             kappa=float(np.mean(kappas)),
             se=float(np.std(kappas, ddof=1) / math.sqrt(len(kappas))),
-            info=PartitionedInfo.from_full(mean_info, p),
+            info=PartitionedInfo.from_full(np.mean(infos[kept], axis=0), p),
         )
 
-    def worker(r):
-        y = draw(r)
-        return fit_wide(model, y, design).params
+    def fit_one(r):
+        return fit_wide(model, _draw(config, r, gamma0, design), design).params
 
-    results, failures = _run_replications(config, worker)
-    params = np.array([r for r in results if r is not None])
+    params = np.array(_fit_each(config, fit_one))
+    failures = _checked_failures(config, reps - len(params))
     reps_kept = params.shape[0]
 
     if method == "full-ml-cov":
@@ -217,7 +219,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
         return KappaStudy(
             method=method,
             n=n,
-            replications=config.replications,
+            replications=reps,
             failures=failures,
             kappa=kap,
             se=kap / math.sqrt(2.0 * (reps_kept - 1)),
@@ -229,7 +231,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     return KappaStudy(
         method=method,
         n=n,
-        replications=config.replications,
+        replications=reps,
         failures=failures,
         kappa=kap,
         se=kap / math.sqrt(2.0 * (reps_kept - 1)),
@@ -275,21 +277,69 @@ class StudyResult:
         return path
 
 
-def _replicate(config: StudyConfig, r: int, gamma_true, design, estimand):
-    """Draw replication r at gamma_true and fit both models to it.
+@dataclass(frozen=True)
+class _Cell:
+    """One (n, delta) cell over the replications that survived every check:
+    the wide departure estimates, the narrow and wide estimates of the
+    focus, and the plug-in geometry at each narrow fit."""
 
-    Returns the wide fit, the plug-in geometry at the narrow fit, and the
-    narrow and wide estimates of the estimand.
-    """
+    gamma_hat: np.ndarray
+    mu_n: np.ndarray
+    mu_w: np.ndarray
+    geom: LimitGeometry
+    failures: int
+
+
+def _fit_cell(config: StudyConfig, gamma_true, design, estimand) -> _Cell:
+    """Draw each replication at gamma_true and fit both models to it, then
+    evaluate the plug-in geometry at all the narrow fits at once."""
     model = config.model
-    rng = replication_rng(config.seed, r)
-    y = model.sampler(np.asarray(model.theta0, dtype=float), gamma_true, design, rng)
-    narrow = fit_narrow(model, y, design)
-    wide = fit_wide(model, y, design)
-    geom = limit_geometry(model, design, estimand, theta=narrow.theta)
-    mu_n = estimand(narrow.theta, np.asarray(model.gamma0, dtype=float))
-    mu_w = estimand(wide.theta, wide.gamma)
-    return wide, geom, mu_n, mu_w
+    gamma0 = np.asarray(model.gamma0, dtype=float)
+
+    def fit_one(r):
+        y = _draw(config, r, gamma_true, design)
+        narrow = fit_narrow(model, y, design)
+        wide = fit_wide(model, y, design)
+        return (
+            narrow.theta,
+            float(wide.gamma[0]),
+            estimand(narrow.theta, gamma0),
+            estimand(wide.theta, wide.gamma),
+        )
+
+    thetas, gamma_hat, mu_n, mu_w = map(np.array, zip(*_fit_each(config, fit_one)))
+    geom = limit_geometry(model, design, estimand, theta=thetas)
+    kept = [r for r in range(len(thetas)) if r not in geom.errors]
+    fields = (geom.bias_slope, geom.kappa, geom.tau0_sq, geom.tau_sq)
+    return _Cell(
+        gamma_hat=gamma_hat[kept],
+        mu_n=mu_n[kept],
+        mu_w=mu_w[kept],
+        geom=LimitGeometry(*(values[kept] for values in fields)),
+        failures=config.replications - len(kept),
+    )
+
+
+def _rows_that_hold(evaluate, count: int):
+    """evaluate(rows) on every row index at once, or, if a numerical
+    failure stops that, on the rows that do not raise it on their own.
+
+    Returns (values, rows kept)."""
+    rows = np.arange(count)
+    try:
+        return evaluate(rows), rows
+    except NumericsError:
+        pass
+
+    def holds(r):
+        try:
+            evaluate(rows[r:r + 1])
+        except NumericsError:
+            return False
+        return True
+
+    rows = rows[[holds(r) for r in range(count)]]
+    return evaluate(rows), rows
 
 
 def finite_sample_mse(config: StudyConfig) -> StudyResult:
@@ -304,6 +354,7 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
     gamma0 = np.asarray(model.gamma0, dtype=float)
     if model.q != 1:
         raise ValueError("MSE studies support a scalar departure only")
+    g0 = float(gamma0[0])
     estimators = config.resolved_estimators()
     rows = []
     crossings = []
@@ -320,27 +371,21 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
             delta = float(delta)
             gamma_true = gamma0 + delta / math.sqrt(n)
             mu_true = estimand(theta0, gamma_true)
+            cell = _fit_cell(config, gamma_true, design, estimand)
 
-            def worker(r, gamma_true=gamma_true, design=design, estimand=estimand, n=n):
-                wide, geom, mu_n, mu_w = _replicate(config, r, gamma_true, design, estimand)
-                zn = z_statistic(float(wide.gamma[0]), float(gamma0[0]), geom.kappa, n)
-                values = []
-                for _, est in estimators:
-                    if est is None:
-                        values.append(
-                            debias_estimate(
-                                mu_n, geom.bias_slope, float(wide.gamma[0]), float(gamma0[0])
-                            )
-                        )
-                    else:
-                        values.append(compromise_estimate(mu_n, mu_w, zn, est))
-                return np.asarray(values), geom.kappa
+            def evaluate(idx):
+                gamma_hat, mu_n = cell.gamma_hat[idx], cell.mu_n[idx]
+                zn = z_statistic(gamma_hat, g0, cell.geom.kappa[idx], n)
+                return np.column_stack([
+                    debias_estimate(mu_n, cell.geom.bias_slope[idx], gamma_hat, g0)
+                    if est is None else compromise_estimate(mu_n, cell.mu_w[idx], zn, est)
+                    for _, est in estimators
+                ])
 
-            results, failures = _run_replications(config, worker)
-            total_failures += failures
-            kept = [r for r in results if r is not None]
-            estimates = np.array([v for v, _ in kept])
-            kappas = np.array([k for _, k in kept])
+            estimates, kept = _rows_that_hold(evaluate, len(cell.gamma_hat))
+            total_failures += _checked_failures(
+                config, cell.failures + len(cell.gamma_hat) - len(kept)
+            )
             sqerr = n * (estimates - mu_true) ** 2
             means = sqerr.mean(axis=0)
             ses = sqerr.std(axis=0, ddof=1) / math.sqrt(sqerr.shape[0])
@@ -350,7 +395,7 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
                     narrow_curve.append((delta, float(m)))
                 elif name == "wide":
                     wide_curve.append((delta, float(m)))
-            plugin_kappas.extend(kappas.tolist())
+            plugin_kappas.extend(cell.geom.kappa[kept].tolist())
         pk = np.asarray(plugin_kappas)
         kappa_rows.append(
             (n, float(pk.mean()), float(pk.std(ddof=1) / math.sqrt(pk.size)))
@@ -419,18 +464,14 @@ def coverage_study(config: StudyConfig, level: float | None = None) -> StudyResu
             gamma_true = gamma0 + delta / math.sqrt(n)
             mu_true = estimand(theta0, gamma_true)
 
-            def worker(r, gamma_true=gamma_true, design=design, estimand=estimand, n=n):
-                _, geom, mu_n, mu_w = _replicate(config, r, gamma_true, design, estimand)
-                half_n = z * geom.tau0 / math.sqrt(n)
-                half_w = z * geom.tau / math.sqrt(n)
-                return (
-                    abs(mu_n - mu_true) <= half_n,
-                    abs(mu_w - mu_true) <= half_w,
-                )
-
-            results, failures = _run_replications(config, worker)
-            total_failures += failures
-            kept = np.array([r for r in results if r is not None], dtype=float)
+            cell = _fit_cell(config, gamma_true, design, estimand)
+            total_failures += _checked_failures(config, cell.failures)
+            half_n = z * cell.geom.tau0 / math.sqrt(n)
+            half_w = z * cell.geom.tau / math.sqrt(n)
+            kept = np.column_stack([
+                np.abs(cell.mu_n - mu_true) <= half_n,
+                np.abs(cell.mu_w - mu_true) <= half_w,
+            ]).astype(float)
             reps_kept = kept.shape[0]
             for idx, kind in enumerate(("narrow", "wide")):
                 cov = float(kept[:, idx].mean())

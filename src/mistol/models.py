@@ -193,20 +193,46 @@ def information_at_null(model: ModelSpec, design: Design, theta=None) -> Partiti
     """Per-observation information of the wide model at (theta, gamma0).
 
     Uses the model's closed form when registered, otherwise averages
-    score outer products against the null quadrature.
+    score outer products against the null quadrature. theta may also be a
+    stack (R, p) of parameter rows: the blocks then carry a leading row
+    axis, and a row whose information raises a NumericsError or is not
+    positive definite is NaN and listed in errors, where a single theta
+    raises.
     """
     theta = np.asarray(model.theta0 if theta is None else theta, dtype=float)
-    if model.closed_information is not None:
-        info = model.closed_information(theta, design)
-    else:
-        info = information_generic(model, design, theta)
-    eigs = np.linalg.eigvalsh(info.matrix)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
-        raise NumericsError(
-            f"information matrix for {model.name!r} is not positive definite; "
-            "the design may be too small or a score function misdeclared"
-        )
-    return info
+    rows = theta if theta.ndim == 2 else theta[None]
+    infos, errors = [], {}
+    for r, row in enumerate(rows):
+        try:
+            if model.closed_information is not None:
+                infos.append(model.closed_information(row, design))
+            else:
+                infos.append(information_generic(model, design, row))
+        except NumericsError as err:
+            infos.append(None)
+            errors[r] = err
+    p, q = model.p, model.q
+    j11 = np.full((len(rows), p, p), np.nan)
+    j12 = np.full((len(rows), p, q), np.nan)
+    j22 = np.full((len(rows), q, q), np.nan)
+    live = [r for r, info in enumerate(infos) if info is not None]
+    for r in live:
+        j11[r], j12[r], j22[r] = infos[r].j11, infos[r].j12, infos[r].j22
+    stacked = PartitionedInfo(j11, j12, j22, errors=errors)
+    eigs = np.linalg.eigvalsh(stacked.matrix[live])
+    for r, low, high in zip(live, eigs[:, 0], eigs[:, -1]):
+        if low <= 1e-12 * max(high, 1.0):
+            errors[r] = NumericsError(
+                f"information matrix for {model.name!r} is not positive definite; "
+                "the design may be too small or a score function misdeclared"
+            )
+            for block in (stacked.j11, stacked.j12, stacked.j22):
+                block[r] = np.nan
+    if theta.ndim < 2:
+        if errors:
+            raise errors[0]
+        return infos[0]
+    return stacked
 
 
 def information_generic(model: ModelSpec, design: Design, theta=None) -> PartitionedInfo:

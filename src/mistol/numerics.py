@@ -162,12 +162,13 @@ def shifted_normal_nodes(shift: float, knots=None):
 
 def _as_symmetric(m, label: str) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{label} block must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > 1e-8 * scale:
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True))
+    if (np.abs(m - mt) > 1e-8 * scale).any():
         raise ValueError(f"{label} block is not symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 @dataclass(frozen=True)
@@ -175,21 +176,25 @@ class PartitionedInfo:
     """Per-observation information matrix split into narrow and extra blocks.
 
     j11 is the p x p block for the protected parameters, j22 the q x q block
-    for the departure parameters, j12 the p x q cross block.
+    for the departure parameters, j12 the p x q cross block. The blocks may
+    carry a leading row axis, a stack of matrices (one per replication);
+    errors maps a row that could not be computed to its NumericsError, and
+    that row's blocks are NaN.
     """
 
     j11: np.ndarray
     j12: np.ndarray
     j22: np.ndarray
+    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         j11 = _as_symmetric(self.j11, "narrow")
         j22 = _as_symmetric(self.j22, "departure")
         j12 = np.atleast_2d(np.asarray(self.j12, dtype=float))
-        if j12.shape != (j11.shape[0], j22.shape[0]):
+        if j12.shape != j11.shape[:-1] + j22.shape[-1:]:
             raise ValueError(
                 f"cross block has shape {j12.shape}, expected "
-                f"{(j11.shape[0], j22.shape[0])}"
+                f"{j11.shape[:-1] + j22.shape[-1:]}"
             )
         object.__setattr__(self, "j11", j11)
         object.__setattr__(self, "j12", j12)
@@ -197,45 +202,58 @@ class PartitionedInfo:
 
     @property
     def p(self) -> int:
-        return self.j11.shape[0]
+        return self.j11.shape[-1]
 
     @property
     def q(self) -> int:
-        return self.j22.shape[0]
+        return self.j22.shape[-1]
 
     @property
     def matrix(self) -> np.ndarray:
-        top = np.hstack([self.j11, self.j12])
-        bottom = np.hstack([self.j12.T, self.j22])
-        return np.vstack([top, bottom])
+        top = np.concatenate([self.j11, self.j12], axis=-1)
+        bottom = np.concatenate([np.swapaxes(self.j12, -1, -2), self.j22], axis=-1)
+        return np.concatenate([top, bottom], axis=-2)
 
     @classmethod
     def from_full(cls, full, p: int) -> "PartitionedInfo":
         full = _as_symmetric(full, "full information")
-        if not 0 < p < full.shape[0]:
+        if not 0 < p < full.shape[-1]:
             raise ValueError("narrow dimension must split the matrix")
-        return cls(full[:p, :p], full[:p, p:], full[p:, p:])
+        return cls(full[..., :p, :p], full[..., :p, p:], full[..., p:, p:])
 
 
-def _chol_inverse(m: np.ndarray, block: str, scale: float | None = None) -> np.ndarray:
-    """Inverse of an SPD matrix via Cholesky; SingularBlockError otherwise.
+def _chol_inverse(m: np.ndarray, block: str, errors: dict, scale=None) -> np.ndarray:
+    """Inverses of a stack of SPD matrices via Cholesky.
 
-    scale is the magnitude the pivots are judged against; for a Schur
-    complement it must be the size of the terms that were subtracted,
-    since exact cancellation can leave a rounding-level positive pivot
-    that Cholesky happily accepts.
+    A row that is not positive definite gets a SingularBlockError in errors
+    and NaN in the result; rows already in errors are skipped. scale is the
+    magnitude the pivots are judged against; for a Schur complement it must
+    be the size of the terms that were subtracted, since exact cancellation
+    can leave a rounding-level positive pivot that Cholesky happily accepts.
     """
+    ident = np.eye(m.shape[-1])
+    live = np.array([r not in errors for r in range(len(m))], dtype=bool)
+    c = np.empty_like(m)
+    c[:] = ident
     try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as err:
-        raise SingularBlockError(block, str(err)) from None
+        c[live] = np.linalg.cholesky(m[live])
+    except np.linalg.LinAlgError:
+        for r in np.flatnonzero(live).tolist():
+            try:
+                c[r] = np.linalg.cholesky(m[r])
+            except np.linalg.LinAlgError as err:
+                errors[r] = SingularBlockError(block, str(err))
     if scale is None:
-        scale = float(np.max(np.abs(np.diag(m))))
-    if float(np.min(np.diag(c))) ** 2 <= 1e-12 * max(scale, 1e-300):
-        raise SingularBlockError(block, "singular to working precision")
-    ident = np.eye(m.shape[0])
-    inv = np.linalg.solve(c.T, np.linalg.solve(c, ident))
-    return 0.5 * (inv + inv.T)
+        scale = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1)), axis=-1)
+    pivots = np.min(np.diagonal(c, axis1=-2, axis2=-1), axis=-1) ** 2
+    for r in np.flatnonzero(pivots <= 1e-12 * np.maximum(scale, 1e-300)).tolist():
+        errors.setdefault(r, SingularBlockError(block, "singular to working precision"))
+    failed = [r in errors for r in range(len(m))]
+    c[failed] = ident
+    inv = np.linalg.solve(np.swapaxes(c, -1, -2), np.linalg.solve(c, np.broadcast_to(ident, m.shape)))
+    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    inv[failed] = np.nan
+    return inv
 
 
 @dataclass(frozen=True)
@@ -244,32 +262,47 @@ class PartitionedInverse:
 
     inv22 is the lower-right block of the full inverse: the limiting
     covariance of the departure-parameter estimator in the wide model.
-    inv11 and inv12 are the matching upper-left and cross blocks.
+    inv11 and inv12 are the matching upper-left and cross blocks. For a
+    stacked info, errors maps each row that failed to its error.
     """
 
     inv11: np.ndarray
     inv12: np.ndarray
     inv22: np.ndarray
     j11_inv: np.ndarray = field(repr=False)
+    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def partitioned_inverse(info: PartitionedInfo) -> PartitionedInverse:
     """Blockwise inverse via the Schur complement of the narrow block.
 
-    Raises SingularBlockError naming the offending block if the narrow
-    block or the Schur complement is not positive definite.
+    A single matrix raises SingularBlockError naming the offending block if
+    the narrow block or the Schur complement is not positive definite. A
+    stack is inverted row by row in one pass: a row that fails, or that
+    info already lists as failed, is NaN in every block and listed in
+    errors.
     """
-    j11_inv = _chol_inverse(info.j11, "narrow")
-    subtracted = info.j12.T @ j11_inv @ info.j12
-    schur = info.j22 - subtracted
-    schur_scale = float(
-        max(np.max(np.abs(np.diag(info.j22))), np.max(np.abs(np.diag(subtracted))))
+    single = info.j11.ndim == 2
+    j11, j12, j22 = (b[None] if single else b for b in (info.j11, info.j12, info.j22))
+    errors = dict(info.errors)
+    j11_inv = _chol_inverse(j11, "narrow", errors)
+    j21 = np.swapaxes(j12, -1, -2)
+    subtracted = j21 @ j11_inv @ j12
+    schur = j22 - subtracted
+    schur_scale = np.maximum(
+        np.max(np.abs(np.diagonal(j22, axis1=-2, axis2=-1)), axis=-1),
+        np.max(np.abs(np.diagonal(subtracted, axis1=-2, axis2=-1)), axis=-1),
     )
-    inv22 = _chol_inverse(0.5 * (schur + schur.T), "schur", scale=schur_scale)
-    inv12 = -j11_inv @ info.j12 @ inv22
-    inv11 = j11_inv + j11_inv @ info.j12 @ inv22 @ info.j12.T @ j11_inv
+    inv22 = _chol_inverse(0.5 * (schur + np.swapaxes(schur, -1, -2)), "schur", errors, schur_scale)
+    inv12 = -j11_inv @ j12 @ inv22
+    inv11 = j11_inv + j11_inv @ j12 @ inv22 @ j21 @ j11_inv
+    inv11 = 0.5 * (inv11 + np.swapaxes(inv11, -1, -2))
+    if single:
+        if errors:
+            raise errors[0]
+        return PartitionedInverse(inv11=inv11[0], inv12=inv12[0], inv22=inv22[0], j11_inv=j11_inv[0])
     return PartitionedInverse(
-        inv11=0.5 * (inv11 + inv11.T), inv12=inv12, inv22=inv22, j11_inv=j11_inv
+        inv11=inv11, inv12=inv12, inv22=inv22, j11_inv=j11_inv, errors=errors
     )
 
 

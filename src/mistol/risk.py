@@ -10,7 +10,7 @@ and sample size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,21 +38,24 @@ class LimitGeometry:
 
     bias_slope is the sensitivity of the focus to the departure after the
     best narrow-model adjustment; tau0_sq and tau_sq are the limiting
-    variances of the narrow and wide estimators of the focus.
+    variances of the narrow and wide estimators of the focus. For a stack
+    of narrow fits every field is an array over the rows, and errors maps
+    each row that failed a check to its NumericsError.
     """
 
     bias_slope: float
     kappa: float
     tau0_sq: float
     tau_sq: float
+    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def tau0(self) -> float:
-        return math.sqrt(self.tau0_sq)
+        return _sqrt(self.tau0_sq)
 
     @property
     def tau(self) -> float:
-        return math.sqrt(self.tau_sq)
+        return _sqrt(self.tau_sq)
 
     @property
     def rho(self) -> float:
@@ -62,6 +65,10 @@ class LimitGeometry:
     def shift_at(self, delta: float) -> float:
         """Departure measured in tolerance units, a = delta/kappa."""
         return float(delta) / self.kappa
+
+
+def _sqrt(x):
+    return np.sqrt(x) if np.ndim(x) else math.sqrt(x)
 
 
 def limit_geometry(
@@ -76,6 +83,12 @@ def limit_geometry(
     narrow variance plus bias term, and the full-information sandwich) and
     the two must agree; disagreement signals an inconsistent gradient or
     information matrix and raises NumericsError.
+
+    theta may also be a stack (R, p) of narrow fits, one per replication.
+    Every check then runs on every row in one pass, the fields are arrays
+    over the rows, and a row that fails a check (singular block, information
+    not positive definite, routes disagree) is NaN and listed in errors
+    instead of raising.
     """
     if estimand is None:
         estimand = model.default_estimand
@@ -83,30 +96,50 @@ def limit_geometry(
         estimand = model.estimand(estimand, design)
     if not isinstance(estimand, Estimand):
         raise TypeError("estimand must be an Estimand or the name of one")
-    info = information_at_null(model, design, theta=theta)
+    single = theta is None or np.ndim(theta) < 2
+    thetas = np.atleast_2d(np.asarray(model.theta0 if theta is None else theta, dtype=float))
+    info = information_at_null(model, design, theta=thetas)
     if info.q != 1:
         raise ValueError("limit geometry is defined for a scalar departure")
     inv = partitioned_inverse(info)
-    theta0 = np.asarray(model.theta0, dtype=float) if theta is None else np.asarray(theta, dtype=float)
+    errors = dict(inv.errors)
     gamma0 = np.asarray(model.gamma0, dtype=float)
-    grad_theta, grad_gamma = estimand.gradients(theta0, gamma0)
+    grad_theta = np.full(thetas.shape, np.nan)
+    grad_gamma = np.full((len(thetas), 1), np.nan)
+    for r, row in enumerate(thetas):
+        if r not in errors:
+            try:
+                grad_theta[r], grad_gamma[r] = estimand.gradients(row, gamma0)
+            except NumericsError as err:
+                errors[r] = err
     j11_inv = inv.j11_inv
-    adjusted = info.j12.T @ (j11_inv @ grad_theta)
-    b = float(adjusted[0] - grad_gamma[0])
-    tau0_sq = float(grad_theta @ (j11_inv @ grad_theta))
-    kap_sq = float(inv.inv22[0, 0])
+    narrow_dir = j11_inv @ grad_theta[..., None]
+    adjusted = np.swapaxes(info.j12, -1, -2) @ narrow_dir
+    b = adjusted[:, 0, 0] - grad_gamma[:, 0]
+    tau0_sq = (grad_theta[:, None, :] @ narrow_dir)[:, 0, 0]
+    kap_sq = inv.inv22[:, 0, 0]
     tau_sq = tau0_sq + b * b * kap_sq
 
-    full_grad = np.concatenate([grad_theta, grad_gamma])
-    sandwich = float(full_grad @ np.linalg.solve(info.matrix, full_grad))
-    if abs(sandwich - tau_sq) > 1e-6 * (1.0 + abs(tau_sq)):
-        raise NumericsError(
+    full_grad = np.concatenate([grad_theta, grad_gamma], axis=1)[..., None]
+    matrix = info.matrix
+    matrix[list(errors)] = np.eye(matrix.shape[-1])  # failed rows may be singular
+    sandwich = (np.swapaxes(full_grad, -1, -2) @ np.linalg.solve(matrix, full_grad))[:, 0, 0]
+    for r in np.flatnonzero(np.abs(sandwich - tau_sq) > 1e-6 * (1.0 + np.abs(tau_sq))).tolist():
+        errors.setdefault(r, NumericsError(
             f"variance routes disagree for {model.name}/{estimand.name}: "
-            f"{tau_sq!r} vs {sandwich!r}"
+            f"{float(tau_sq[r])!r} vs {float(sandwich[r])!r}"
+        ))
+    if single:
+        if errors:
+            raise errors[0]
+        return LimitGeometry(
+            bias_slope=float(b[0]), kappa=math.sqrt(kap_sq[0]),
+            tau0_sq=float(tau0_sq[0]), tau_sq=float(tau_sq[0]),
         )
-    return LimitGeometry(
-        bias_slope=b, kappa=math.sqrt(kap_sq), tau0_sq=tau0_sq, tau_sq=tau_sq
-    )
+    fields = (b, np.sqrt(kap_sq), tau0_sq, tau_sq)
+    for values in fields:
+        values[list(errors)] = np.nan
+    return LimitGeometry(*fields, errors=errors)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,29 @@ class TestSimulateCommand:
         code, _, err = run_cli("simulate", "--config", str(tmp_path / "none.ini"))
         assert code == 2
 
+    def test_group_size_must_be_an_integer(self, tmp_path):
+        cfg = study_ini(
+            tmp_path,
+            "[study]\nkind = mse\nmodel = two-sample\nm = abc\nn = 40\n"
+            f"replications = 100\nseed = 3\nout = {tmp_path / 'ts'}\n",
+        )
+        code, _, err = run_cli("simulate", "--config", str(cfg))
+        assert code == 2
+        assert "config errors:" in err
+        assert "m must be an integer, got 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_group_size_rejected_for_other_models(self, tmp_path):
+        cfg = study_ini(
+            tmp_path,
+            "[study]\nkind = kappa\nmodel = weibull-vs-exp\nkappa_method = gamma-sd\n"
+            f"m = 10\nn = 60\nreplications = 100\nseed = 3\nout = {tmp_path / 'wb'}\n",
+        )
+        code, _, err = run_cli("simulate", "--config", str(cfg))
+        assert code == 2
+        assert "m sets the first group size of the two-sample model only" in err
+        assert not (tmp_path / "wb.csv").exists()
+
 
 class TestSelectCommand:
     def test_border_values(self):

@@ -348,6 +348,35 @@ class TestCombining:
         assert debias_estimate(2.0, 0.5, 1.4, 1.0) == pytest.approx(1.8, abs=1e-15)
         assert debias_estimate(2.0, 0.0, 9.9, 1.0) == 2.0
 
+    def test_array_forms_equal_scalar_calls(self):
+        # a study combines a whole cell of replications in one call; each
+        # entry must be bit for bit what the one-replication call gives
+        rng = np.random.default_rng(8)
+        gamma_hat = 1.0 + rng.normal(0.0, 0.2, 40)
+        kappa_hat = rng.uniform(0.5, 1.5, 40)
+        mu_n, mu_w, b = rng.normal(size=(3, 40))
+        zn = z_statistic(gamma_hat, 1.0, kappa_hat, 150)
+        assert zn.shape == (40,)
+        single_z = [z_statistic(float(g), 1.0, float(k), 150) for g, k in zip(gamma_hat, kappa_hat)]
+        assert all(type(v) is float for v in single_z)
+        assert zn.tolist() == single_z
+        debiased = debias_estimate(mu_n, b, gamma_hat, 1.0)
+        assert debiased.tolist() == [
+            debias_estimate(float(m), float(s), float(g), 1.0)
+            for m, s, g in zip(mu_n, b, gamma_hat)
+        ]
+        for name in estimator_names():
+            est = parse_estimator(name)
+            combined = compromise_estimate(mu_n, mu_w, zn, est)
+            one_by_one = [
+                compromise_estimate(float(a), float(w), z, est)
+                for a, w, z in zip(mu_n, mu_w, single_z)
+            ]
+            assert all(type(v) is float for v in one_by_one)
+            assert combined.tolist() == one_by_one, name
+        with pytest.raises(ValueError):
+            z_statistic(gamma_hat, 1.0, np.where(np.arange(40) == 7, 0.0, kappa_hat), 150)
+
 
 class TestFitting:
     def test_exponential_narrow_fit_closed(self):

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from mistol.estimators import eb
+from mistol.estimators import (
+    AEstimator,
+    compromise_estimate,
+    debias_estimate,
+    eb,
+    fit_narrow,
+    fit_wide,
+    z_statistic,
+)
 from mistol.mcstudy import (
     KAPPA_METHODS,
     KappaStudy,
@@ -16,7 +24,8 @@ from mistol.mcstudy import (
     kappa_by_simulation,
 )
 from mistol.models import get_model, information_at_null
-from mistol.numerics import DomainError, replication_rng
+from mistol.numerics import DomainError, NumericsError, PartitionedInfo, replication_rng
+from mistol.risk import limit_geometry
 from mistol.tolerance import kappa
 
 WEIBULL_KAPPA = 0.7796968012336761
@@ -183,6 +192,118 @@ class TestFailureAccounting:
         )
         result = finite_sample_mse(config)
         assert result.failures == 1
+
+
+def singular_above_model(threshold):
+    """Weibull model whose closed information is singular (its Schur block
+    vanishes) wherever the plug-in rate exceeds `threshold`."""
+    base = get_model("weibull-vs-exp")
+
+    def closed_information(theta, design):
+        info = base.closed_information(theta, design)
+        if theta[0] <= threshold:
+            return info
+        return PartitionedInfo(info.j11, info.j12, info.j12**2 / info.j11)
+
+    return dataclasses.replace(base, closed_information=closed_information)
+
+
+def one_replication_at_a_time(config):
+    """(failures, rows) of a one-cell MSE study at delta 0 with every step
+    taken per replication, through the single-call forms of the post-fit
+    layer."""
+    model, n = config.model, config.n_list[0]
+    design = config.design_for(n)
+    estimand = config.estimand_for(design)
+    theta0, gamma0 = np.array(model.theta0), np.array(model.gamma0)
+    g0 = float(gamma0[0])
+    mu_true = estimand(theta0, gamma0)
+    values = []
+    for r in range(config.replications):
+        try:
+            y = model.sampler(theta0, gamma0, design, replication_rng(config.seed, r))
+            narrow, wide = fit_narrow(model, y, design), fit_wide(model, y, design)
+            geom = limit_geometry(model, design, estimand, theta=narrow.theta)
+            mu_n, mu_w = estimand(narrow.theta, gamma0), estimand(wide.theta, wide.gamma)
+            g = float(wide.gamma[0])
+            zn = z_statistic(g, g0, geom.kappa, n)
+            values.append([
+                debias_estimate(mu_n, geom.bias_slope, g, g0) if est is None
+                else compromise_estimate(mu_n, mu_w, zn, est)
+                for _, est in config.resolved_estimators()
+            ])
+        except NumericsError:
+            pass
+    sqerr = n * (np.array(values) - mu_true) ** 2
+    ses = sqerr.std(axis=0, ddof=1) / math.sqrt(len(values))
+    rows = tuple(
+        (0.0, n, name, float(m), float(s))
+        for (name, _), m, s in zip(config.resolved_estimators(), sqerr.mean(axis=0), ses)
+    )
+    return config.replications - len(values), rows
+
+
+class TestRowFailures:
+    """A replication that fails after its fits is counted and left out, as
+    if each replication had been taken through the single calls alone."""
+
+    def config(self, **kw):
+        base = dict(
+            model=get_model("weibull-vs-exp"), n_list=(80,), delta_grid=(0.0,),
+            replications=150, seed=41, estimators=("narrow", "wide", "eb", "debias"),
+        )
+        base.update(kw)
+        return StudyConfig(**base)
+
+    def narrow_rates(self, config):
+        model, n = config.model, config.n_list[0]
+        theta0, gamma0 = np.array(model.theta0), np.array(model.gamma0)
+        return np.array([
+            1.0 / np.mean(model.sampler(
+                theta0, gamma0, model.default_design(n), replication_rng(config.seed, r)
+            ))
+            for r in range(config.replications)
+        ])
+
+    def test_failed_geometry_rows(self):
+        rates = np.sort(self.narrow_rates(self.config()))
+        threshold = 0.5 * (rates[-1] + rates[-2])  # fails the largest rate only
+        config = self.config(model=singular_above_model(threshold))
+        result = finite_sample_mse(config)
+        assert (result.failures, result.rows) == one_replication_at_a_time(config)
+        assert result.failures == 1
+        assert coverage_study(config).failures == 1
+
+    def test_failed_combine_rows(self):
+        config = self.config()
+        model, n = config.model, 80
+        design = model.default_design(n)
+        gammas = np.array([
+            fit_wide(model, model.sampler(
+                np.array(model.theta0), np.array(model.gamma0), design,
+                replication_rng(config.seed, r),
+            ), design).gamma[0]
+            for r in range(config.replications)
+        ])
+        z = np.sort(np.abs(math.sqrt(n) * (gammas - 1.0) / WEIBULL_KAPPA))
+        cut = 0.5 * (z[-1] + z[-2])
+
+        def fragile(zn):  # fails the whole array when any entry is too far out
+            if np.any(np.abs(zn) > cut):
+                raise NumericsError("weight undefined this far out")
+            return zn
+
+        config = self.config(estimators=("narrow", AEstimator("fragile", fragile, c0=1.0)))
+        result = finite_sample_mse(config)
+        assert (result.failures, result.rows) == one_replication_at_a_time(config)
+        assert result.failures == 1
+
+    def test_too_many_failed_rows_abort(self):
+        rates = self.narrow_rates(self.config())
+        threshold = float(np.median(rates))
+        count = int(np.sum(rates > threshold))
+        with pytest.raises(StudyError, match=f"^{count} of 150 replications failed"):
+            finite_sample_mse(self.config(model=singular_above_model(threshold)))
 
 
 class TestFiniteSampleMse:

@@ -174,6 +174,30 @@ class TestPartitionedInverse:
             partitioned_inverse(PartitionedInfo(j11, j12, j22))
         assert err.value.block == "schur"
 
+    def test_stack_lists_failed_rows_and_matches_single_calls(self):
+        rng = np.random.default_rng(77)
+        fulls = []
+        for _ in range(5):
+            root = rng.standard_normal((3, 3))
+            fulls.append(root @ root.T + 3.0 * np.eye(3))
+        fulls[1][:2, :2] = [[1.0, 1.0], [1.0, 1.0]]  # singular narrow block
+        fulls[3][2, 2] = fulls[3][2, :2] @ np.linalg.solve(fulls[3][:2, :2], fulls[3][:2, 2])
+        stacked = partitioned_inverse(PartitionedInfo.from_full(np.array(fulls), 2))
+        assert sorted(stacked.errors) == [1, 3]
+        assert stacked.errors[1].block == "narrow"
+        assert stacked.errors[3].block == "schur"
+        for r, full in enumerate(fulls):
+            info = PartitionedInfo.from_full(full, 2)
+            if r in stacked.errors:
+                with pytest.raises(SingularBlockError) as err:
+                    partitioned_inverse(info)
+                assert str(err.value) == str(stacked.errors[r])
+                assert np.isnan(stacked.inv22[r]).all()
+                continue
+            single = partitioned_inverse(info)
+            for block in ("inv11", "inv12", "inv22", "j11_inv"):
+                assert np.array_equal(getattr(stacked, block)[r], getattr(single, block))
+
     def test_symmetry_enforced(self):
         full = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
+import mistol.risk
 from mistol.estimators import (
     AEstimator,
     atan_shrink,
@@ -19,8 +21,13 @@ from mistol.estimators import (
     restricted,
     wide_rule,
 )
-from mistol.models import get_model
-from mistol.numerics import NumericsError, replication_rng, std_normal_quantile
+from mistol.models import MODEL_BUILDERS, get_model
+from mistol.numerics import (
+    NumericsError,
+    PartitionedInfo,
+    replication_rng,
+    std_normal_quantile,
+)
 from mistol.risk import (
     ci_coverage,
     crossing_points,
@@ -41,6 +48,7 @@ from mistol.risk import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+MODEL_NAMES = tuple(MODEL_BUILDERS)
 
 
 class TestLimitGeometry:
@@ -48,12 +56,7 @@ class TestLimitGeometry:
         # limit_geometry internally checks the adjusted-variance route
         # against the full sandwich and raises on disagreement, so a plain
         # call doubles as the dual-route consistency test
-        for model in [get_model(n) for n in (
-            "weibull-vs-exp", "gamma-vs-exp", "linreg-quadratic",
-            "linreg-covariate", "varhet-regression", "transform-constant",
-            "transform-regression", "logistic-quadratic", "logistic-eta",
-            "two-sample",
-        )]:
+        for model in [get_model(n) for n in MODEL_NAMES]:
             design = model.default_design(60)
             for name in model.estimand_names():
                 geom = limit_geometry(model, design, name)
@@ -93,6 +96,67 @@ class TestLimitGeometry:
         assert skewed.bias_slope == pytest.approx(1.0 / 12.0, abs=1e-10)
         mirrored = limit_geometry(model, model.default_design(50, m=25), "std-diff")
         assert mirrored.bias_slope == pytest.approx(-1.0 / 12.0, abs=1e-10)
+
+    def test_stacked_rows_equal_single_calls(self):
+        # a study evaluates the plug-in geometry of a whole cell in one
+        # call; each row must be bit for bit the one-theta call
+        for name in MODEL_NAMES:
+            model = get_model(name)
+            design = model.default_design(60)
+            theta0 = np.asarray(model.theta0, dtype=float)
+            thetas = np.array([theta0 * (1.0 + s) + s for s in (0.0, 0.05, -0.05, 0.1)])
+            for focus in model.estimand_names():
+                stacked = limit_geometry(model, design, focus, theta=thetas)
+                assert stacked.errors == {}, (name, focus)
+                for r, theta in enumerate(thetas):
+                    single = limit_geometry(model, design, focus, theta=theta)
+                    assert type(single.kappa) is float
+                    got = (stacked.bias_slope[r], stacked.kappa[r],
+                           stacked.tau0_sq[r], stacked.tau_sq[r])
+                    want = (single.bias_slope, single.kappa, single.tau0_sq, single.tau_sq)
+                    assert got == want, (name, focus, r)
+
+    def test_stacked_failure_is_listed_not_raised(self):
+        base = get_model("weibull-vs-exp")
+
+        def closed_information(theta, design):
+            info = base.closed_information(theta, design)
+            if theta[0] <= 1.5:
+                return info
+            # the departure block equals what the narrow block explains
+            return PartitionedInfo(info.j11, info.j12, info.j12**2 / info.j11)
+
+        model = dataclasses.replace(base, closed_information=closed_information)
+        design = model.default_design(60)
+        thetas = np.array([[1.0], [2.0], [1.2]])
+        with pytest.raises(NumericsError, match="not positive definite"):
+            limit_geometry(model, design, theta=thetas[1])
+        stacked = limit_geometry(model, design, theta=thetas)
+        assert list(stacked.errors) == [1]
+        assert "not positive definite" in str(stacked.errors[1])
+        assert math.isnan(stacked.kappa[1]) and math.isnan(stacked.bias_slope[1])
+        for r in (0, 2):
+            assert stacked.tau_sq[r] == limit_geometry(model, design, theta=thetas[r]).tau_sq
+
+    def test_route_check_runs_on_every_row(self, monkeypatch):
+        # the two variance routes agree for any consistent inverse, so skew
+        # the Schur inverse of the rows at rate 1.3 and watch the check fire
+        model = get_model("weibull-vs-exp")
+        design = model.default_design(60)
+        real = mistol.risk.partitioned_inverse
+
+        def skewed(info):
+            inv = real(info)
+            hit = np.isclose(info.j11[..., 0, 0], 1.0 / 1.3**2)[..., None, None]
+            return dataclasses.replace(inv, inv22=np.where(hit, 1.01 * inv.inv22, inv.inv22))
+
+        monkeypatch.setattr(mistol.risk, "partitioned_inverse", skewed)
+        thetas = np.array([[1.0], [1.3], [0.8]])
+        with pytest.raises(NumericsError, match="variance routes disagree"):
+            limit_geometry(model, design, theta=thetas[1])
+        stacked = limit_geometry(model, design, theta=thetas)
+        assert list(stacked.errors) == [1]
+        assert "variance routes disagree" in str(stacked.errors[1])
 
     def test_estimand_argument_forms(self):
         model = get_model("weibull-vs-exp")
