@@ -82,6 +82,17 @@ def _model_from_args(ns) -> "object":
         raise UsageError(exc.args[0]) from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a sample or group size."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -338,6 +349,8 @@ def _study_config_from_file(ns) -> tuple:
 
     deltas = parse_list("delta", float, (0.0,))
     n_list = parse_list("n", int, (500,))
+    if any(n < 1 for n in n_list):
+        problems.append(f"n must list positive sample sizes, got {section['n']!r}")
     estimator_specs = tuple(
         part.strip()
         for part in section.get("estimators", "narrow,wide").split(",")
@@ -379,6 +392,9 @@ def _study_config_from_file(ns) -> tuple:
                 first = int(section["m"])
             except ValueError:
                 problems.append(f"m must be an integer, got {section['m']!r}")
+            else:
+                if first < 1:
+                    problems.append(f"m must be a positive integer, got {first}")
     if problems:
         raise UsageError("config errors: " + "; ".join(problems))
 
@@ -478,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     tol = sub.add_parser("tolerance", help="radius and danger diagnostics")
     tol.add_argument("--model")
     tol.add_argument("--model-config")
-    tol.add_argument("--n", type=int, required=True)
-    tol.add_argument("--m", type=int, help="first group size (two-sample only)")
+    tol.add_argument("--n", type=_positive_int, required=True)
+    tol.add_argument("--m", type=_positive_int, help="first group size (two-sample only)")
     tol.add_argument("--estimand")
     tol.add_argument("--out")
     tol.set_defaults(func=cmd_tolerance)
@@ -514,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--a", type=float, default=0.0)
     sel.add_argument("--q", default="1,2,3,4")
     sel.add_argument("--level", default="0.01,0.05,0.1,0.2")
-    sel.add_argument("--n", type=int)
+    sel.add_argument("--n", type=_positive_int)
     sel.set_defaults(func=cmd_select)
     return parser
 

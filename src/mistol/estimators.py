@@ -555,12 +555,17 @@ class FitError(NumericsError):
 
 @dataclass(frozen=True)
 class FitResult:
-    """One maximized likelihood.
+    """One maximized likelihood, or one per row of a stack of samples.
 
     params holds theta for a narrow fit and theta followed by gamma for a
     wide fit. The fit is certified: loglik is finite and grad_norm, the
     central-difference gradient norm at params, is at most
     1e-8*(1+|loglik|).
+
+    A fit of a stack (B, n) of samples holds one row per sample in params,
+    theta, gamma, loglik and grad_norm. errors maps each row that could not
+    be fitted or certified to its FitError or DomainError, and that row is
+    NaN. iterations is then the total over the rows (0 for closed fits).
     """
 
     params: np.ndarray
@@ -570,10 +575,12 @@ class FitResult:
     iterations: int
     grad_norm: float
     method: str
+    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def converged(self) -> bool:
-        return self.grad_norm <= 1e-8 * (1.0 + abs(self.loglik))
+    def converged(self):
+        ok = np.asarray(self.grad_norm) <= 1e-8 * (1.0 + np.abs(self.loglik))
+        return bool(ok) if ok.ndim == 0 else ok
 
 
 def _fd_hessian(f, x):
@@ -653,14 +660,154 @@ def _checked_sample(model, y, design) -> np.ndarray:
     return y
 
 
-def _certified_fit(model, y, design, params, closed: bool) -> FitResult:
-    """Certify closed-form params, or run Newton ascent from params.
-
-    A Newton fit is certified by maximize_loglik itself; a closed-form fit
-    gets one support check and one gradient check here.
-    """
+def _stacked_result(model, wide, params, loglik, gnorm, iterations, method, errors):
+    for r in errors:
+        params[r], loglik[r], gnorm[r] = np.nan, np.nan, np.nan
     p = model.p
-    narrow = params.size == p
+    return FitResult(
+        params=params,
+        theta=params[:, :p],
+        gamma=params[:, p:] if wide else None,
+        loglik=loglik,
+        iterations=iterations,
+        grad_norm=gnorm,
+        method=method,
+        errors=errors,
+    )
+
+
+def _agrees(a, b) -> bool:
+    """a equals b to 1e-12 relative to b's largest finite entry."""
+    b = np.asarray(b, dtype=float)
+    scale = np.max(np.abs(b[np.isfinite(b)]), initial=0.0)
+    return bool(np.allclose(a, b, rtol=0.0, atol=1e-12 * scale, equal_nan=True))
+
+
+def _closed_point(model, y, design, exact, wide):
+    """The closed-form fit of y, (n,) or (B, n), and the log-likelihood
+    x -> loglik(x, rows) of y (or of y[rows]) at params x, one per row."""
+    p = model.p
+    if wide:
+        theta, gamma = exact(y, design)
+        params = np.concatenate(
+            [np.asarray(theta, dtype=float), np.asarray(gamma, dtype=float)], axis=-1
+        )
+    else:
+        params = np.asarray(exact(y, design), dtype=float)
+    expected = y.shape[:-1] + (p + model.q * wide,)
+    if params.shape != expected:
+        raise TypeError(
+            f"closed fit of {model.name!r} has shape {params.shape}, expected {expected}"
+        )
+    gamma0 = np.asarray(model.gamma0, dtype=float)
+
+    def loglik(x, rows=None):
+        ys = y if rows is None else y[rows]
+        if wide:
+            gamma = x[..., p:]
+        else:
+            gamma = gamma0 if x.ndim == 1 else np.broadcast_to(gamma0, (len(x), gamma0.size))
+        return np.sum(model.log_density(ys, design, x[..., :p], gamma), axis=-1)
+
+    return params, loglik
+
+
+def _closed_values(model, y, design, exact, wide):
+    """(params, loglik, gradient norm) of the closed-form fits of y, (n,) or
+    (B, n), each with a leading row axis. A row outside the support gets no
+    gradient (NaN). For a stack, the last row is also fitted alone, and a
+    fit or log-likelihood that differs raises TypeError."""
+    params, loglik = _closed_point(model, y, design, exact, wide)
+    ll = loglik(params)
+    if y.ndim == 2:
+        one, one_loglik = _closed_point(model, y[-1], design, exact, wide)
+        if not (_agrees(params[-1], one) and _agrees(ll[-1], one_loglik(one))):
+            raise TypeError(
+                f"closed-form callables of {model.name!r} fit the last row of a "
+                "stack differently from that row alone; they must accept a "
+                "leading replication axis"
+            )
+    ok = np.isfinite(np.atleast_1d(ll))
+    if ok.all():
+        grad = central_gradient(loglik, params)
+    else:
+        grad = np.full(np.atleast_2d(params).shape, np.nan)
+        if ok.any():
+            grad[ok] = central_gradient(lambda x: loglik(x, ok), params[ok])
+    norms = np.linalg.norm(grad, axis=-1)
+    return np.atleast_2d(params), np.atleast_1d(ll), np.atleast_1d(norms)
+
+
+def _closed_fit(model, y, design, exact, wide) -> FitResult:
+    """Closed-form fits of one sample (n,) or of each row of a stack
+    (B, n), each certified by one support check and one central-difference
+    gradient check.
+
+    A single sample raises the first failure. A stack lists each failing row
+    in errors; if the closed form raises on the stack, each row is fitted as
+    a stack of one, so that only the rows that fail alone are dropped.
+    """
+    single = y.ndim < 2
+    rows = np.atleast_2d(y)
+    errors = {}
+    for r, row in enumerate(rows):
+        try:
+            _checked_sample(model, row, design)
+        except DomainError as err:
+            if single:
+                raise
+            errors[r] = err
+    if single:
+        params, loglik, gnorm = _closed_values(model, y, design, exact, wide)
+    else:
+        live = [r for r in range(len(rows)) if r not in errors]
+        params = np.full((len(rows), model.p + model.q * wide), np.nan)
+        loglik, gnorm = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+        try:
+            parts = [(live, _closed_values(model, rows[live], design, exact, wide))] if live else []
+        except NumericsError:
+            parts = []
+            for r in live:
+                try:
+                    parts.append(([r], _closed_values(model, rows[r:r + 1], design, exact, wide)))
+                except NumericsError as err:
+                    errors[r] = err
+        for idx, (values, lls, norms) in parts:
+            params[idx], loglik[idx], gnorm[idx] = values, lls, norms
+    outside = ~np.isfinite(loglik)
+    failing = outside | ~(gnorm <= 1e-8 * (1.0 + np.abs(loglik)))
+    for r in np.flatnonzero(failing).tolist():
+        if r in errors:
+            continue
+        if outside[r]:
+            errors[r] = FitError(
+                f"closed fit of {model.name!r} lands outside the likelihood support"
+            )
+        else:
+            errors[r] = FitError(
+                f"closed fit of {model.name!r} reports gradient norm {gnorm[r]:.3e} "
+                f"above tolerance", [(float(loglik[r]), float(gnorm[r]))]
+            )
+    if single:
+        if errors:
+            raise errors[0]
+        values = params[0]
+        return FitResult(
+            params=values,
+            theta=values[:model.p],
+            gamma=values[model.p:] if wide else None,
+            loglik=float(loglik[0]),
+            iterations=0,
+            grad_norm=float(gnorm[0]),
+            method="closed",
+        )
+    return _stacked_result(model, wide, params, loglik, gnorm, 0, "closed", errors)
+
+
+def _newton_fit(model, y, design, start) -> FitResult:
+    """Newton ascent from start, certified by maximize_loglik itself."""
+    p = model.p
+    narrow = start.size == p
     gamma0 = np.asarray(model.gamma0, dtype=float)
 
     def objective(x):
@@ -668,22 +815,7 @@ def _certified_fit(model, y, design, params, closed: bool) -> FitResult:
             return model.loglik(y, design, x, gamma0)
         return model.loglik(y, design, x[:p], x[p:])
 
-    if closed:
-        method, iterations = "closed", 0
-        loglik = objective(params)
-        if not np.isfinite(loglik):
-            raise FitError(
-                f"closed fit of {model.name!r} lands outside the likelihood support"
-            )
-        gnorm = float(np.linalg.norm(central_gradient(objective, params)))
-        if not np.isfinite(gnorm) or gnorm > 1e-8 * (1.0 + abs(loglik)):
-            raise FitError(
-                f"closed fit of {model.name!r} reports gradient norm {gnorm:.3e} "
-                f"above tolerance", [(float(loglik), gnorm)]
-            )
-    else:
-        method = "newton"
-        params, loglik, iterations, gnorm = maximize_loglik(objective, params)
+    params, loglik, iterations, gnorm = maximize_loglik(objective, start)
     return FitResult(
         params=params,
         theta=params[:p],
@@ -691,32 +823,63 @@ def _certified_fit(model, y, design, params, closed: bool) -> FitResult:
         loglik=float(loglik),
         iterations=iterations,
         grad_norm=gnorm,
-        method=method,
+        method="newton",
     )
+
+
+def fit_rows(fit, model: ModelSpec, y, design: Design, wide: bool) -> FitResult:
+    """fit(model, row, design) on each row of the stack y, gathered into one
+    stacked FitResult; a row that raises a NumericsError is listed in errors.
+
+    fit is fit_narrow (wide False) or fit_wide (wide True), or a wrapper of
+    one. Each row's fit is a call of its own.
+    """
+    k = model.p + model.q * wide
+    params = np.full((len(y), k), np.nan)
+    loglik, gnorm = np.full(len(y), np.nan), np.full(len(y), np.nan)
+    errors, iterations = {}, 0
+    for r, row in enumerate(y):
+        try:
+            one = fit(model, row, design)
+        except NumericsError as err:
+            errors[r] = err
+            continue
+        params[r], loglik[r], gnorm[r] = one.params, one.loglik, one.grad_norm
+        iterations += one.iterations
+    exact = model.wide_fit_exact if wide else model.narrow_fit_exact
+    method = "newton" if exact is None else "closed"
+    return _stacked_result(model, wide, params, loglik, gnorm, iterations, method, errors)
 
 
 def fit_narrow(model: ModelSpec, y, design: Design) -> FitResult:
-    """Maximize the narrow likelihood (departure pinned at its null value)."""
-    y = _checked_sample(model, y, design)
+    """Maximize the narrow likelihood (departure pinned at its null value).
+
+    y may also be a stack (B, n) of samples on the same design: a closed
+    form then fits and certifies the whole stack in one pass of array
+    operations, and a Newton fit runs row by row (see FitResult).
+    """
+    y = np.asarray(y, dtype=float)
     if model.narrow_fit_exact is not None:
-        theta = np.asarray(model.narrow_fit_exact(y, design), dtype=float)
-        return _certified_fit(model, y, design, theta, closed=True)
-    return _certified_fit(
-        model, y, design, np.asarray(model.theta0, dtype=float), closed=False
-    )
+        return _closed_fit(model, y, design, model.narrow_fit_exact, wide=False)
+    if y.ndim == 2:
+        return fit_rows(fit_narrow, model, y, design, wide=False)
+    y = _checked_sample(model, y, design)
+    return _newton_fit(model, y, design, np.asarray(model.theta0, dtype=float))
 
 
 def fit_wide(model: ModelSpec, y, design: Design) -> FitResult:
     """Maximize the wide likelihood, warm-started at the narrow fit.
 
     The warm start plus monotone line search guarantees the wide maximum
-    is no smaller than the narrow one on the same data.
+    is no smaller than the narrow one on the same data. y may also be a
+    stack (B, n), as for fit_narrow.
     """
-    y = _checked_sample(model, y, design)
+    y = np.asarray(y, dtype=float)
     if model.wide_fit_exact is not None:
-        theta, gamma = model.wide_fit_exact(y, design)
-        params = np.concatenate([np.asarray(theta, float), np.asarray(gamma, float)])
-        return _certified_fit(model, y, design, params, closed=True)
+        return _closed_fit(model, y, design, model.wide_fit_exact, wide=True)
+    if y.ndim == 2:
+        return fit_rows(fit_wide, model, y, design, wide=True)
+    y = _checked_sample(model, y, design)
     narrow = fit_narrow(model, y, design)
     start = np.concatenate([narrow.theta, np.asarray(model.gamma0, dtype=float)])
-    return _certified_fit(model, y, design, start, closed=False)
+    return _newton_fit(model, y, design, start)

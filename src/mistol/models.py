@@ -10,6 +10,7 @@ a null point (theta, gamma0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -85,6 +86,44 @@ def _golden_sequence(n: int) -> np.ndarray:
 # estimands
 
 
+def _col(params, j):
+    """Parameter j of a vector (a scalar), or of each row of a stack (B, k)
+    (a column (B, 1)), so that it broadcasts against y of shape (n,) or
+    (B, n)."""
+    params = np.asarray(params, dtype=float)
+    return params[:, j, None] if params.ndim > 1 else params[j]
+
+
+def _log(col):
+    """math.log of a parameter (see _col), entry by entry for a column, NaN
+    where it is not positive; one parameter vector gets the scalar bits."""
+    if not isinstance(col, np.ndarray):
+        return math.log(col) if col > 0.0 else math.nan
+    values = col.ravel().tolist()
+    return np.array([math.log(v) if v > 0.0 else math.nan for v in values]).reshape(col.shape)
+
+
+def _square(col):
+    """A parameter (see _col) squared as Python's float power does."""
+    if not isinstance(col, np.ndarray):
+        return float(col) ** 2
+    return np.array([v**2 for v in col.ravel().tolist()]).reshape(col.shape)
+
+
+def _on_support(value, *positive):
+    """value() where every entry of the parameters or arrays in positive is
+    positive, -inf elsewhere. Only if some entry is not does value() run
+    with numpy's warnings silenced, since they come from those entries."""
+    for a in positive:
+        if not (a.size == 0 or a.min() > 0.0 if isinstance(a, np.ndarray) else a > 0.0):
+            break
+    else:
+        return value()
+    outside = functools.reduce(np.logical_or, [~(np.asarray(a) > 0.0) for a in positive])
+    with np.errstate(all="ignore"):
+        return np.where(outside, -np.inf, value())
+
+
 def _pack_split(theta, gamma):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
@@ -146,6 +185,15 @@ class ModelSpec:
       narrow_fit_exact(y, design) -> theta_hat, when the narrow MLE is closed
       wide_fit_exact(y, design) -> (theta_hat, gamma_hat), likewise
       data_check(y, design) -> None, raising DomainError on bad data
+
+    A model with narrow_fit_exact is fitted in stacks: narrow_fit_exact,
+    wide_fit_exact (if set) and log_density must then also accept y of
+    shape (B, n), one sample per row on the same design, with theta of
+    shape (B, p) and gamma of shape (B, q), and return B rows (theta_hat
+    (B, p), gamma_hat (B, q), log densities (B, n)). Index parameters as
+    theta[..., j], never float(theta[0]). A stacked fit also fits its last
+    row alone and raises TypeError if the two differ. data_check and the
+    other callables always see one sample.
     """
 
     name: str
@@ -309,7 +357,7 @@ def _require_positive(y, what="observations"):
 
 
 def _exp_rate_mle(y, design):
-    return np.array([1.0 / float(np.mean(y))])
+    return 1.0 / np.mean(y, axis=-1, keepdims=True)
 
 
 def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
@@ -319,15 +367,11 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
     """
 
     def log_density(y, design, theta, gamma):
-        th, g = float(theta[0]), float(gamma[0])
-        if th <= 0.0 or g <= 0.0:
-            return np.full(np.shape(y), -np.inf)
+        th, g = _col(theta, 0), _col(gamma, 0)
         y = np.asarray(y, dtype=float)
-        out = np.full(y.shape, -np.inf)
-        ok = y > 0.0
-        w = th * y[ok]
-        out[ok] = math.log(g) + g * math.log(th) + (g - 1.0) * np.log(y[ok]) - w**g
-        return out
+        return _on_support(
+            lambda: _log(g) + g * _log(th) + (g - 1.0) * np.log(y) - (th * y) ** g, th, g, y
+        )
 
     def score_null(y, design, theta):
         th = float(theta[0])
@@ -353,9 +397,10 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
         return _broadcast_nodes(design, w / float(theta[0]), wt)
 
     def wide_fit_exact(y, design):
-        shape = _weibull_shape_mle(np.asarray(y, dtype=float))
-        rate = (y.size / float(np.sum(np.asarray(y) ** shape))) ** (1.0 / shape)
-        return np.array([rate]), np.array([shape])
+        y = np.asarray(y, dtype=float)
+        shape = np.asarray(_weibull_shape_mle(y))[..., None]
+        rate = (y.shape[-1] / np.sum(y**shape, axis=-1, keepdims=True)) ** (1.0 / shape)
+        return rate, shape
 
     def median_value(theta, gamma):
         return math.log(2.0) ** (1.0 / gamma[0]) / theta[0]
@@ -394,44 +439,70 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
     )
 
 
-def _weibull_shape_mle(y: np.ndarray) -> float:
-    """Shape MLE via the one-dimensional profile equation, bracketed then
-    solved by bisection/brentq. Monotone decreasing in the shape, so the
-    root is unique."""
-    from scipy.optimize import brentq
+def _weibull_shape_mle(y: np.ndarray):
+    """Shape MLE of a sample (n,), or of each row of a stack (B, n).
 
-    logy = np.log(y)
-    mean_log = float(np.mean(logy))
+    The root in g of the profile equation
+    f(g) = 1/g + mean(log y) - sum(y^g log y)/sum(y^g), with y^g written as
+    exp(g*(log y - max log y)). f decreases, with f'(g) = -1/g^2 - Var_w(log y)
+    under weights w proportional to y^g, so the root is unique. It is
+    bracketed in [1e-2, 4], the upper end doubled up to 1e3, then found by
+    Newton steps from g = 1 that bisect when they leave the bracket; a row
+    stops once its step is at most 1e-12 + 1e-14*g. Returns a float, or B
+    shapes; raises NumericsError if any row cannot be bracketed.
+    """
+    logy = np.atleast_2d(np.log(y))
+    u = logy - logy.max(axis=-1, keepdims=True)
+    mean_u = u.mean(axis=-1)
 
-    def profile(g):
-        yg = y**g
-        return 1.0 / g + mean_log - float(np.sum(yg * logy) / np.sum(yg))
+    def profile(g, rows):
+        """f and f' at g[i] for row rows[i]."""
+        ur = u[rows]
+        w = np.exp(g[:, None] * ur)
+        w /= w.sum(axis=-1, keepdims=True)
+        mean_w = (w * ur).sum(axis=-1)
+        var_w = (w * (ur - mean_w[:, None]) ** 2).sum(axis=-1)
+        return 1.0 / g + mean_u[rows] - mean_w, -1.0 / g**2 - var_w
 
-    lo, hi = 1e-2, 4.0
-    while profile(hi) > 0.0 and hi < 1e3:
-        hi *= 2.0
-    if profile(lo) < 0.0 or profile(hi) > 0.0:
+    every = np.arange(len(u))
+    lo, hi = np.full(len(u), 1e-2), np.full(len(u), 4.0)
+    f_hi = profile(hi, every)[0]
+    grow = f_hi > 0.0
+    while grow.any():
+        hi[grow] *= 2.0
+        f_hi[grow] = profile(hi[grow], every[grow])[0]
+        grow = (f_hi > 0.0) & (hi < 1e3)
+    if np.any(profile(lo, every)[0] < 0.0) or np.any(f_hi > 0.0):
         raise NumericsError("Weibull shape equation could not be bracketed")
-    return float(brentq(profile, lo, hi, xtol=1e-12, rtol=1e-14))
+
+    g = np.ones(len(u))
+    active = every
+    for _ in range(200):
+        f, slope = profile(g[active], active)
+        lo[active] = np.where(f > 0.0, g[active], lo[active])
+        hi[active] = np.where(f < 0.0, g[active], hi[active])
+        step = -f / slope
+        new = g[active] + step
+        outside = (new < lo[active]) | (new > hi[active])
+        new[outside] = 0.5 * (lo[active] + hi[active])[outside]
+        moved = np.abs(new - g[active])
+        g[active] = new
+        active = active[moved > 1e-12 + 1e-14 * np.abs(new)]
+        if not active.size:
+            return g if np.ndim(y) > 1 else float(g[0])
+    raise NumericsError("Weibull shape equation did not converge")
 
 
 def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
     """Exponential(rate) narrow model inside the gamma family (shape null 1)."""
 
     def log_density(y, design, theta, gamma):
-        th, g = float(theta[0]), float(gamma[0])
-        if th <= 0.0 or g <= 0.0:
-            return np.full(np.shape(y), -np.inf)
+        th, g = _col(theta, 0), _col(gamma, 0)
         y = np.asarray(y, dtype=float)
-        out = np.full(y.shape, -np.inf)
-        ok = y > 0.0
-        out[ok] = (
-            g * math.log(th)
-            - special.gammaln(g)
-            + (g - 1.0) * np.log(y[ok])
-            - th * y[ok]
+        return _on_support(
+            lambda: g * _log(th) - special.gammaln(g) + (g - 1.0) * np.log(y) - th * y,
+            th, g, y,
         )
-        return out
 
     def score_null(y, design, theta):
         th = float(theta[0])
@@ -484,11 +555,22 @@ def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
 
 
 def _lstsq_fit(y, columns):
-    """Least squares coefficients and the ML residual scale."""
-    coef, *_ = np.linalg.lstsq(columns, y, rcond=None)
-    resid = y - columns @ coef
-    sigma = math.sqrt(float(np.mean(resid**2)))
-    return coef, sigma
+    """Least squares coefficients and the ML residual scale of y, (n,) or
+    one fit per row of (B, n): coef (k,) or (B, k), sigma a float or (B,)."""
+    y = np.asarray(y, dtype=float)
+    coef = np.linalg.lstsq(columns, y.T, rcond=None)[0].T
+    resid = y - coef @ columns.T
+    return coef, np.sqrt(np.mean(resid**2, axis=-1))
+
+
+def _normal_log_density(y, means, sigma):
+    """Normal log densities of y about means; -inf where sigma <= 0."""
+
+    def value():
+        z = (np.asarray(y, dtype=float) - means) / sigma
+        return -_log(sigma) - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+
+    return _on_support(value, sigma)
 
 
 def _centered(design: Design) -> np.ndarray:
@@ -505,14 +587,10 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
 
     def means(design, theta, gamma):
         t = _centered(design)
-        return theta[1] * t + gamma[0] * t * t
+        return _col(theta, 1) * t + _col(gamma, 0) * t * t
 
     def log_density(y, design, theta, gamma):
-        s = float(theta[0])
-        if s <= 0.0:
-            return np.full(np.shape(y), -np.inf)
-        z = (np.asarray(y, dtype=float) - means(design, theta, gamma)) / s
-        return -math.log(s) - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+        return _normal_log_density(y, means(design, theta, gamma), _col(theta, 0))
 
     def score_null(y, design, theta):
         s = float(theta[0])
@@ -542,13 +620,13 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
 
     def narrow_fit_exact(y, design):
         t = _centered(design)
-        coef, s = _lstsq_fit(np.asarray(y, dtype=float), t[:, None])
-        return np.array([s, coef[0]])
+        coef, s = _lstsq_fit(y, t[:, None])
+        return np.stack([s, coef[..., 0]], axis=-1)
 
     def wide_fit_exact(y, design):
         t = _centered(design)
-        coef, s = _lstsq_fit(np.asarray(y, dtype=float), np.column_stack([t, t * t]))
-        return np.array([s, coef[0]]), np.array([coef[1]])
+        coef, s = _lstsq_fit(y, np.column_stack([t, t * t]))
+        return np.stack([s, coef[..., 0]], axis=-1), coef[..., 1:]
 
     def mean_at(design, x0=None):
         x = design.column(0)
@@ -593,14 +671,14 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
     """
 
     def means(design, theta, gamma):
-        return theta[1] + theta[2] * design.column(0) + gamma[0] * design.column(1)
+        return (
+            _col(theta, 1)
+            + _col(theta, 2) * design.column(0)
+            + _col(gamma, 0) * design.column(1)
+        )
 
     def log_density(y, design, theta, gamma):
-        s = float(theta[0])
-        if s <= 0.0:
-            return np.full(np.shape(y), -np.inf)
-        z = (np.asarray(y, dtype=float) - means(design, theta, gamma)) / s
-        return -math.log(s) - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+        return _normal_log_density(y, means(design, theta, gamma), _col(theta, 0))
 
     def score_null(y, design, theta):
         s = float(theta[0])
@@ -634,15 +712,13 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
 
     def narrow_fit_exact(y, design):
         x = design.column(0)
-        cols = np.column_stack([np.ones_like(x), x])
-        coef, s = _lstsq_fit(np.asarray(y, dtype=float), cols)
-        return np.array([s, coef[0], coef[1]])
+        coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x]))
+        return np.concatenate([s[..., None], coef], axis=-1)
 
     def wide_fit_exact(y, design):
         x, zcol = design.column(0), design.column(1)
-        cols = np.column_stack([np.ones_like(x), x, zcol])
-        coef, s = _lstsq_fit(np.asarray(y, dtype=float), cols)
-        return np.array([s, coef[0], coef[1]]), np.array([coef[2]])
+        coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x, zcol]))
+        return np.concatenate([s[..., None], coef[..., :2]], axis=-1), coef[..., 2:]
 
     def mean_at(design, x0=None, z0=0.0):
         x0 = float(max(design.column(0)) if x0 is None else x0)
@@ -687,16 +763,11 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
         return float(theta[0]) ** 2 * (1.0 + gamma[0] * design.column(0))
 
     def log_density(y, design, theta, gamma):
-        s = float(theta[0])
-        if s <= 0.0:
-            return np.full(np.shape(y), -np.inf)
-        var = variances(design, theta, gamma)
-        out = np.full(np.shape(y), -np.inf)
-        ok = var > 0.0
-        m = theta[1] + theta[2] * design.column(0)
+        s, x = _col(theta, 0), design.column(0)
+        var = _square(s) * (1.0 + _col(gamma, 0) * x)
+        m = _col(theta, 1) + _col(theta, 2) * x
         r2 = (np.asarray(y, dtype=float) - m) ** 2
-        out[ok] = -0.5 * (np.log(2.0 * math.pi * var[ok]) + r2[ok] / var[ok])
-        return out
+        return _on_support(lambda: -0.5 * (np.log(2.0 * math.pi * var) + r2 / var), s, var)
 
     def score_null(y, design, theta):
         s = float(theta[0])
@@ -732,9 +803,8 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
 
     def narrow_fit_exact(y, design):
         x = design.column(0)
-        cols = np.column_stack([np.ones_like(x), x])
-        coef, s = _lstsq_fit(np.asarray(y, dtype=float), cols)
-        return np.array([s, coef[0], coef[1]])
+        coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x]))
+        return np.concatenate([s[..., None], coef], axis=-1)
 
     def sd_at(design, x0=None):
         x0 = float(np.mean(design.column(0)) if x0 is None else x0)
@@ -826,17 +896,17 @@ def reparameterised_noise_summaries(power: float) -> NoiseSummaries:
 
 
 def _transform_log_density(y, means, sigma, lam):
-    s = float(sigma)
-    if s <= 0.0 or lam <= 0.0:
-        return np.full(np.shape(y), -np.inf)
-    z = (np.asarray(y, dtype=float) - means) / s
-    return (
-        math.log(lam)
-        + (lam - 1.0) * special.log_ndtr(z)
-        - 0.5 * z * z
-        - 0.5 * math.log(2.0 * math.pi)
-        - math.log(s)
-    )
+    def value():
+        z = (np.asarray(y, dtype=float) - means) / sigma
+        return (
+            _log(lam)
+            + (lam - 1.0) * special.log_ndtr(z)
+            - 0.5 * z * z
+            - 0.5 * math.log(2.0 * math.pi)
+            - _log(sigma)
+        )
+
+    return _on_support(value, sigma, lam)
 
 
 def _transform_sampler(means, sigma, lam, n, rng):
@@ -853,7 +923,7 @@ def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
     """
 
     def log_density(y, design, theta, gamma):
-        return _transform_log_density(y, theta[1], theta[0], float(gamma[0]))
+        return _transform_log_density(y, _col(theta, 1), _col(theta, 0), _col(gamma, 0))
 
     def score_null(y, design, theta):
         s = float(theta[0])
@@ -879,7 +949,9 @@ def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
 
     def narrow_fit_exact(y, design):
         y = np.asarray(y, dtype=float)
-        return np.array([math.sqrt(float(np.mean((y - np.mean(y)) ** 2))), float(np.mean(y))])
+        mean = np.mean(y, axis=-1, keepdims=True)
+        sd = np.sqrt(np.mean((y - mean) ** 2, axis=-1, keepdims=True))
+        return np.concatenate([sd, mean], axis=-1)
 
     def median_est(design):
         def value(th, g):
@@ -918,7 +990,7 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
 
     def log_density(y, design, theta, gamma):
         return _transform_log_density(
-            y, theta[1] * _centered(design), theta[0], float(gamma[0])
+            y, _col(theta, 1) * _centered(design), _col(theta, 0), _col(gamma, 0)
         )
 
     def score_null(y, design, theta):
@@ -949,9 +1021,8 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         return ymat, np.broadcast_to(wt, ymat.shape)
 
     def narrow_fit_exact(y, design):
-        t = _centered(design)
-        coef, s = _lstsq_fit(np.asarray(y, dtype=float), t[:, None])
-        return np.array([s, coef[0]])
+        coef, s = _lstsq_fit(y, _centered(design)[:, None])
+        return np.stack([s, coef[..., 0]], axis=-1)
 
     def median_at(design, x0=None):
         x = design.column(0)
@@ -1149,11 +1220,16 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
         return m, var
 
     def log_density(y, design, theta, gamma):
-        if float(theta[2]) <= 0.0 or 1.0 + float(gamma[0]) <= 0.0:
-            return np.full(np.shape(y), -np.inf)
-        m, var = means_sds(design, theta, gamma)
-        r2 = (np.asarray(y, dtype=float) - m) ** 2
-        return -0.5 * (np.log(2.0 * math.pi * var) + r2 / var)
+        s, g1 = _col(theta, 2), _col(gamma, 0)
+        grp = design.column(0)
+
+        def value():
+            m = np.where(grp > 0.5, _col(theta, 1), _col(theta, 0))
+            var = _square(s) * (1.0 + g1 * grp)
+            r2 = (np.asarray(y, dtype=float) - m) ** 2
+            return -0.5 * (np.log(2.0 * math.pi * var) + r2 / var)
+
+        return _on_support(value, s, 1.0 + g1)
 
     def score_null(y, design, theta):
         g = design.column(0)
@@ -1186,20 +1262,26 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
         ymat = m[:, None] + float(theta[2]) * z[None, :]
         return ymat, np.broadcast_to(wt, ymat.shape)
 
-    def narrow_fit_exact(y, design):
+    def group_means(y, design):
         y = np.asarray(y, dtype=float)
         g = design.column(0) > 0.5
-        m0, m1 = float(np.mean(y[~g])), float(np.mean(y[g]))
+        m0 = np.mean(y[..., ~g], axis=-1, keepdims=True)
+        m1 = np.mean(y[..., g], axis=-1, keepdims=True)
+        return y, g, m0, m1
+
+    def narrow_fit_exact(y, design):
+        y, g, m0, m1 = group_means(y, design)
         resid = np.where(g, y - m1, y - m0)
-        return np.array([m0, m1, math.sqrt(float(np.mean(resid**2)))])
+        sd = np.sqrt(np.mean(resid**2, axis=-1, keepdims=True))
+        return np.concatenate([m0, m1, sd], axis=-1)
 
     def wide_fit_exact(y, design):
-        y = np.asarray(y, dtype=float)
-        g = design.column(0) > 0.5
-        m0, m1 = float(np.mean(y[~g])), float(np.mean(y[g]))
-        s0sq = float(np.mean((y[~g] - m0) ** 2))
-        s1sq = float(np.mean((y[g] - m1) ** 2))
-        return np.array([m0, m1, math.sqrt(s0sq)]), np.array([s1sq / s0sq - 1.0])
+        y, g, m0, m1 = group_means(y, design)
+        s0sq = np.mean((y[..., ~g] - m0) ** 2, axis=-1, keepdims=True)
+        s1sq = np.mean((y[..., g] - m1) ** 2, axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a constant group: NaN
+            ratio = s1sq / s0sq
+        return np.concatenate([m0, m1, np.sqrt(s0sq)], axis=-1), ratio - 1.0
 
     def mean_diff(design):
         return Estimand(
@@ -1235,6 +1317,8 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
     def ts_design(n, m=None, **kw):
         n = int(n)
         m = n if m is None else int(m)
+        if n < 1 or m < 1:
+            raise ValueError(f"two-sample design needs positive group sizes, got m={m}, n={n}")
         groups = np.concatenate([np.zeros(m), np.ones(n)])
         return Design(m + n, groups[:, None])
 

@@ -91,15 +91,20 @@ def noncentral_chisq_cdf(x: float, df: int, ncp: float) -> float:
 
 
 def central_gradient(fn, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar fn at x, step 1e-6*(1+|x_j|)."""
+    """Central-difference gradient of a scalar fn at x, step 1e-6*(1+|x_j|).
+
+    x may also be a stack (B, k) of points; fn then maps a (B, k) stack to
+    its B values, and row b of the result is the gradient at x[b]. Each
+    coordinate costs two calls of fn whatever B is.
+    """
     grad = np.empty_like(x)
-    for j in range(x.size):
-        h = 1e-6 * (1.0 + abs(x[j]))
+    for j in range(x.shape[-1]):
+        h = 1e-6 * (1.0 + np.abs(x[..., j]))
         up = x.copy()
         dn = x.copy()
-        up[j] += h
-        dn[j] -= h
-        grad[j] = (fn(up) - fn(dn)) / (2.0 * h)
+        up[..., j] += h
+        dn[..., j] -= h
+        grad[..., j] = (fn(up) - fn(dn)) / (2.0 * h)
     return grad
 
 

@@ -91,6 +91,19 @@ class TestToleranceCommand:
         assert code == 2
         assert "weibull-vs-exp" in err
 
+    @pytest.mark.parametrize("args, key", [
+        (("--model", "two-sample", "--n", "50", "--m", "-3"), "--m"),
+        (("--model", "two-sample", "--n", "50", "--m", "0"), "--m"),
+        (("--model", "weibull-vs-exp", "--n", "0"), "--n"),
+        (("--model", "two-sample", "--n", "-5"), "--n"),
+    ])
+    def test_non_positive_sizes_are_usage_errors(self, args, key):
+        code, out, err = run_cli("tolerance", *args)
+        assert code == 2
+        assert f"argument {key}: must be a positive integer" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_model_config_file(self, tmp_path):
         cfg = tmp_path / "model.ini"
         cfg.write_text("[model]\nfamily = weibull-vs-exp\nrate = 2.0\n")
@@ -350,6 +363,25 @@ class TestSimulateCommand:
         assert not (tmp_path / "wb.csv").exists()
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("m", "0", "m must be a positive integer, got 0"),
+        ("m", "-3", "m must be a positive integer, got -3"),
+        ("n", "40,0", "n must list positive sample sizes, got '40,0'"),
+    ])
+    def test_non_positive_sizes_are_config_errors(self, tmp_path, key, value, message):
+        sizes = {"m": "40", "n": "40", key: value}
+        cfg = study_ini(
+            tmp_path,
+            f"[study]\nkind = mse\nmodel = two-sample\nm = {sizes['m']}\n"
+            f"n = {sizes['n']}\nreplications = 100\nseed = 3\nout = {tmp_path / 'ts'}\n",
+        )
+        code, _, err = run_cli("simulate", "--config", str(cfg))
+        assert code == 2
+        assert "config errors:" in err and message in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "ts.csv").exists()
+
+
 class TestSelectCommand:
     def test_border_values(self):
         code, out, _ = run_cli(
@@ -388,6 +420,13 @@ class TestSelectCommand:
     def test_validation(self):
         assert run_cli("select", "--q", "0")[0] == 2
         assert run_cli("select", "--q", "x")[0] == 2
+
+    def test_non_positive_n_is_a_usage_error(self):
+        code, out, err = run_cli("select", "--a", "1", "--n", "0")
+        assert code == 2
+        assert "argument --n: must be a positive integer, got 0" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 @pytest.mark.skipif(

@@ -500,3 +500,188 @@ class TestFitting:
     def test_maximizer_rejects_bad_start(self):
         with pytest.raises(FitError):
             maximize_loglik(lambda x: -math.inf, np.array([0.0]))
+
+
+CLOSED_FORM_MODELS = (
+    "weibull-vs-exp", "gamma-vs-exp", "linreg-quadratic", "linreg-covariate",
+    "varhet-regression", "transform-constant", "transform-regression", "two-sample",
+)
+
+
+def single_outcome(fit, model, y, design):
+    try:
+        return fit(model, y, design)
+    except NumericsError as err:
+        return err
+
+
+def assert_rows_equal_single_calls(fit, model, ys, design, exact):
+    stacked = fit(model, ys, design)
+    assert stacked.params.shape[0] == len(ys)
+    for r, y in enumerate(ys):
+        one = single_outcome(fit, model, y, design)
+        if isinstance(one, NumericsError):
+            got = stacked.errors[r]
+            assert (type(got), str(got)) == (type(one), str(one)), (model.name, r)
+            assert np.all(np.isnan(stacked.params[r]))
+            continue
+        assert r not in stacked.errors, (model.name, r)
+        if exact:
+            assert np.array_equal(stacked.params[r], one.params)
+            assert stacked.loglik[r] == one.loglik
+            assert stacked.grad_norm[r] == one.grad_norm
+        else:
+            scale = np.max(np.abs(one.params))
+            assert np.max(np.abs(stacked.params[r] - one.params)) <= 1e-12 * scale
+            assert stacked.loglik[r] == pytest.approx(one.loglik, rel=1e-12, abs=0.0)
+        assert np.array_equal(stacked.theta[r], stacked.params[r, :model.p])
+        if stacked.gamma is not None:
+            assert np.array_equal(stacked.gamma[r], stacked.params[r, model.p:])
+    return stacked
+
+
+class TestStackedFits:
+    """A stack (B, n) of samples is fitted row by row exactly as each row
+    is fitted alone, with every check applied per row."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_MODELS)
+    def test_rows_equal_single_calls(self, name):
+        model = get_model(name)
+        design = model.default_design(60)
+        theta = np.asarray(model.theta0, dtype=float)
+        gamma = np.asarray(model.gamma0, dtype=float) + 0.1
+        ys = np.array([
+            model.sampler(theta, gamma, design, replication_rng(9, r)) for r in range(7)
+        ])
+        ys[3] = ys[3].mean()  # a degenerate row: outside the support, or no shape root
+        if model.data_check is not None:
+            ys[5, 0] = -1.0  # fails the data check
+        exact = name == "weibull-vs-exp"
+        for fit in (fit_narrow, fit_wide):
+            stacked = assert_rows_equal_single_calls(fit, model, ys, design, exact)
+            assert stacked.iterations == sum(
+                one.iterations for one in (single_outcome(fit, model, y, design) for y in ys)
+                if not isinstance(one, NumericsError)
+            )
+            closed = (model.wide_fit_exact if fit is fit_wide else model.narrow_fit_exact)
+            if closed is not None:
+                assert stacked.method == "closed" and stacked.iterations == 0
+            if model.data_check is not None:
+                assert isinstance(stacked.errors[5], DomainError)
+
+    def test_weibull_degenerate_row_keeps_its_messages(self):
+        model = get_model("weibull-vs-exp")
+        design = model.default_design(40)
+        ys = np.array([
+            model.sampler(np.array([1.0]), np.array([1.2]), design, replication_rng(4, r))
+            for r in range(5)
+        ])
+        ys[2] = 2.0  # every shape fits better: the profile equation has no root
+        with pytest.raises(NumericsError, match="could not be bracketed"):
+            fit_wide(model, ys[2], design)
+        stacked = fit_wide(model, ys, design)
+        assert list(stacked.errors) == [2]
+        assert "could not be bracketed" in str(stacked.errors[2])
+        assert stacked.converged[[0, 1, 3, 4]].all() and not stacked.converged[2]
+
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 4.0, 50.0])
+    def test_weibull_shape_matches_brentq_oracle(self, shape):
+        from scipy.optimize import brentq
+
+        from mistol.models import _weibull_shape_mle
+
+        def oracle(y):
+            logy = np.log(y)
+
+            def profile(g):
+                yg = y**g
+                return 1.0 / g + float(np.mean(logy)) - float(np.sum(yg * logy) / np.sum(yg))
+
+            hi = 4.0
+            while profile(hi) > 0.0 and hi < 1e3:
+                hi *= 2.0
+            if profile(1e-2) < 0.0 or profile(hi) > 0.0:
+                return None
+            return brentq(profile, 1e-2, hi, xtol=1e-15, rtol=1e-15, maxiter=500)
+
+        rng = np.random.default_rng(int(shape * 100))
+        for n in (5, 40, 300, 2000):
+            ys = rng.exponential(1.0, (12, n)) ** (1.0 / shape)
+            want = [oracle(y) for y in ys]
+            kept = [r for r, w in enumerate(want) if w is not None]
+            assert len(kept) >= 10, (shape, n)
+            got = _weibull_shape_mle(ys[kept])
+            assert got == pytest.approx([want[r] for r in kept], rel=1e-12, abs=0.0)
+            for r in kept[:3]:
+                assert _weibull_shape_mle(ys[r]) == got[kept.index(r)]
+            for r in set(range(len(ys))) - set(kept):
+                with pytest.raises(NumericsError, match="could not be bracketed"):
+                    _weibull_shape_mle(ys[r])
+        flat = np.full((2, 30), 3.0)
+        flat[0] = rng.exponential(1.0, 30)
+        with pytest.raises(NumericsError, match="could not be bracketed"):
+            _weibull_shape_mle(flat)
+
+    def test_off_optimum_row_fails_alone(self):
+        base = get_model("weibull-vs-exp")
+        design = base.default_design(200)
+        ys = np.array([
+            base.sampler(np.array([1.0]), np.array([1.0]), design, replication_rng(5, r))
+            for r in range(6)
+        ])
+        cut = 0.5 * (np.sort(ys[:, 0])[-1] + np.sort(ys[:, 0])[-2])
+        off = int(np.argmax(ys[:, 0]))
+        assert off != len(ys) - 1
+
+        def off_optimum(y, design):
+            # moves the rate of every sample whose first value exceeds cut
+            theta, gamma = base.wide_fit_exact(y, design)
+            return np.where(y[..., :1] > cut, 1.01, 1.0) * theta, gamma
+
+        model = dataclasses.replace(base, wide_fit_exact=off_optimum)
+        with pytest.raises(FitError, match="above tolerance"):
+            fit_wide(model, ys[off], design)
+        stacked = assert_rows_equal_single_calls(fit_wide, model, ys, design, exact=True)
+        assert list(stacked.errors) == [off]
+        assert "above tolerance" in str(stacked.errors[off])
+
+    def test_row_zero_parameters_are_caught(self):
+        base = get_model("weibull-vs-exp")
+        design = base.default_design(50)
+        ys = np.array([
+            base.sampler(np.array([1.0]), np.array([1.0]), design, replication_rng(6, r))
+            for r in range(4)
+        ])
+
+        def float_first(y, design, theta, gamma):
+            return base.log_density(y, design, np.array([float(theta[0])]), gamma)
+
+        def first_row(y, design, theta, gamma):  # silently row 0 on a stack
+            return base.log_density(y, design, np.ravel(theta)[:1], np.ravel(gamma)[:1])
+
+        for log_density in (float_first, first_row):
+            model = dataclasses.replace(base, log_density=log_density)
+            assert fit_narrow(model, ys[1], design).converged
+            with pytest.raises(TypeError):
+                fit_narrow(model, ys, design)
+        with pytest.raises(TypeError, match="weibull-vs-exp"):
+            fit_wide(dataclasses.replace(base, log_density=first_row), ys, design)
+
+        def first_sample(y, design):  # not stack-aware: one rate for the stack
+            return np.array([1.0 / np.mean(np.atleast_2d(y)[0])])
+
+        model = dataclasses.replace(base, narrow_fit_exact=first_sample)
+        with pytest.raises(TypeError, match="'weibull-vs-exp' has shape"):
+            fit_narrow(model, ys, design)
+
+    def test_newton_stack_runs_row_by_row(self):
+        model = get_model("logistic-quadratic")
+        design = model.default_design(80)
+        ys = np.array([
+            model.sampler(np.array(model.theta0), np.array([0.3]), design, replication_rng(7, r))
+            for r in range(3)
+        ])
+        for fit in (fit_narrow, fit_wide):
+            stacked = assert_rows_equal_single_calls(fit, model, ys, design, exact=True)
+            assert stacked.method == "newton"
+            assert stacked.iterations == sum(fit(model, y, design).iterations for y in ys)

@@ -13,6 +13,7 @@ from mistol.estimators import (
     fit_wide,
     z_statistic,
 )
+from mistol import mcstudy
 from mistol.mcstudy import (
     KAPPA_METHODS,
     KappaStudy,
@@ -298,6 +299,27 @@ class TestRowFailures:
         assert (result.failures, result.rows) == one_replication_at_a_time(config)
         assert result.failures == 1
 
+    def test_off_optimum_fit_fails_its_row_only(self):
+        base = get_model("weibull-vs-exp")
+        config = self.config()
+        design = base.default_design(80)
+        firsts = np.sort([
+            base.sampler(np.array(base.theta0), np.array(base.gamma0), design,
+                         replication_rng(config.seed, r))[0]
+            for r in range(config.replications)
+        ])
+        cut = 0.5 * (firsts[-1] + firsts[-2])
+
+        def off_optimum(y, design):
+            # moves the rate of every sample whose first value exceeds cut
+            theta, gamma = base.wide_fit_exact(y, design)
+            return np.where(y[..., :1] > cut, 1.01, 1.0) * theta, gamma
+
+        config = self.config(model=dataclasses.replace(base, wide_fit_exact=off_optimum))
+        result = finite_sample_mse(config)
+        assert (result.failures, result.rows) == one_replication_at_a_time(config)
+        assert result.failures == 1
+
     def test_too_many_failed_rows_abort(self):
         rates = self.narrow_rates(self.config())
         threshold = float(np.median(rates))
@@ -387,6 +409,90 @@ class TestFiniteSampleMse:
         assert f"successes: {result.replications}" in text
         assert str(csv_path) == str(tmp_path / "study.csv")
         assert str(manifest_path) == str(tmp_path / "study-manifest.txt")
+
+
+CLOSED_FORM_MODELS = (
+    "gamma-vs-exp", "linreg-quadratic", "linreg-covariate", "varhet-regression",
+    "transform-constant", "transform-regression", "two-sample",
+)
+
+
+class TestBlocks:
+    """Replications are drawn and fitted in blocks of mcstudy.BLOCK_ROWS; no
+    output depends on the block size."""
+
+    SIZES = (1, 7, mcstudy.BLOCK_ROWS)
+
+    def test_weibull_outputs_are_byte_identical(self, monkeypatch, tmp_path):
+        mse = weibull_config(
+            delta_grid=(0.0, 0.6), n_list=(150,), replications=110,
+            estimators=("narrow", "wide", "eb", "debias"),
+        )
+        outputs = []
+        for rows in self.SIZES:
+            monkeypatch.setattr(mcstudy, "BLOCK_ROWS", rows)
+            path = finite_sample_mse(mse).to_csv(tmp_path / f"mse-{rows}.csv")
+            kappas = [
+                repr(kappa_by_simulation(weibull_config(kappa_method=method, replications=110)))
+                for method in KAPPA_METHODS
+            ]
+            outputs.append((path.read_bytes(), kappas))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_MODELS)
+    def test_other_closed_form_models_agree(self, monkeypatch, name):
+        # some of these wide fits are Newton fits, which fail on a few
+        # replications at this routine setting; an abort must then be the same
+        config = StudyConfig(
+            model=get_model(name), delta_grid=(0.5,), n_list=(200,), replications=100,
+            seed=12, estimators=("narrow", "wide", "eb"),
+        )
+        outcomes = []
+        for rows in self.SIZES:
+            monkeypatch.setattr(mcstudy, "BLOCK_ROWS", rows)
+            try:
+                result = finite_sample_mse(config)
+            except StudyError as err:
+                mse = str(err)
+            else:
+                mse = (result.failures, result.rows)
+            kap = kappa_by_simulation(dataclasses.replace(config, kappa_method="score-cov"))
+            outcomes.append((mse, kap))
+        (mse, kap), others = outcomes[0], outcomes[1:]
+        for other_mse, other_kap in others:
+            if isinstance(mse, str):
+                assert other_mse == mse
+            else:
+                assert other_mse[0] == mse[0]
+                for got, want in zip(other_mse[1], mse[1]):
+                    assert got[:3] == want[:3]
+                    assert got[3:] == pytest.approx(want[3:], rel=1e-12, abs=0.0)
+            assert other_kap.failures == kap.failures
+            assert other_kap.kappa == pytest.approx(kap.kappa, rel=1e-12, abs=0.0)
+            scale = np.max(np.abs(kap.info.matrix))
+            assert np.max(np.abs(other_kap.info.matrix - kap.info.matrix)) <= 1e-12 * scale
+
+    def test_closed_fits_take_a_block_newton_fits_a_row(self, monkeypatch):
+        calls = []
+
+        def spy(fit):
+            def wrapper(model, y, design):
+                calls.append((fit.__name__, np.shape(y)))
+                return fit(model, y, design)
+            return wrapper
+
+        monkeypatch.setattr(mcstudy, "fit_narrow", spy(fit_narrow))
+        monkeypatch.setattr(mcstudy, "fit_wide", spy(fit_wide))
+        finite_sample_mse(weibull_config(n_list=(50,), replications=100))
+        blocks = [(32, 50)] * 3 + [(4, 50)]
+        assert calls == [(name, shape) for shape in blocks for name in ("fit_narrow", "fit_wide")]
+        calls.clear()
+        finite_sample_mse(StudyConfig(
+            model=get_model("gamma-vs-exp"), n_list=(200,), replications=100, seed=3,
+        ))
+        assert [shape for name, shape in calls if name == "fit_narrow"] == [
+            (32, 200)] * 3 + [(4, 200)]
+        assert [shape for name, shape in calls if name == "fit_wide"] == [(200,)] * 100
 
 
 class TestCurveCrossings:
