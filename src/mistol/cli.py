@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimators as rules
 from . import mcstudy, risk, tolerance
-from .models import Design, MODEL_BUILDERS, get_model
+from .models import Design, get_model
 from .numerics import NumericsError
 
 EXIT_OK = 0
@@ -48,6 +48,24 @@ def _echo_config(ns: argparse.Namespace):
         print(f"config: {key}={getattr(ns, key)}", file=sys.stderr)
 
 
+def _build_model(family: str, section) -> "object":
+    """The built-in model family with the parameters of a [model] section
+    (every key but family); an unknown name or a bad parameter is a
+    UsageError."""
+    kwargs = {}
+    for key, raw in section.items():
+        if key == "family":
+            continue
+        try:
+            kwargs[key] = float(raw)
+        except ValueError:
+            raise UsageError(f"model parameter {key}={raw!r} is not numeric") from None
+    try:
+        return get_model(family, **kwargs)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(exc.args[0]) from None
+
+
 def _model_from_args(ns) -> "object":
     """Resolve the model from --model or a [model] config section."""
     path = getattr(ns, "model_config", None)
@@ -61,25 +79,10 @@ def _model_from_args(ns) -> "object":
         section = parser["model"]
         if "family" not in section:
             raise UsageError("model config needs family= inside [model]")
-        family = section["family"]
-        kwargs = {}
-        for key, raw in section.items():
-            if key == "family":
-                continue
-            try:
-                kwargs[key] = float(raw)
-            except ValueError:
-                raise UsageError(f"model parameter {key}={raw!r} is not numeric") from None
-        try:
-            return get_model(family, **kwargs)
-        except (KeyError, TypeError) as exc:
-            raise UsageError(str(exc)) from None
+        return _build_model(section["family"], section)
     if not getattr(ns, "model", None):
         raise UsageError("a model is required (--model or --model-config)")
-    try:
-        return get_model(ns.model)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from None
+    return _build_model(ns.model, {})
 
 
 def _positive_int(text: str) -> int:
@@ -93,6 +96,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _departure_size(text: str) -> float:
+    """argparse type for select's --a: a number a >= 0 (inf allowed)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text}")
+    return value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -101,6 +115,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"non-numeric grid endpoint in {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(f"--grid needs finite numbers, got {text!r}")
     if step <= 0.0 or stop < start:
         raise UsageError("grid needs step > 0 and stop >= start")
     count = int(round((stop - start) / step)) + 1
@@ -170,8 +186,8 @@ def _parse_loss(text: str):
             rho = float(text[3:])
         except ValueError:
             raise UsageError(f"bad rho in loss spec {text!r}") from None
-        if rho < 0.0:
-            raise UsageError("rho must be nonnegative")
+        if not 0.0 <= rho < math.inf:
+            raise UsageError(f"--loss needs a finite rho >= 0, got {text!r}")
         return "l1", rho
     raise UsageError(f"loss must be l2 or l1:<rho>, got {text!r}")
 
@@ -312,21 +328,15 @@ def _study_config_from_file(ns) -> tuple:
     kind = section.get("kind", "")
     if kind not in {"mse", "kappa", "coverage"}:
         problems.append(f"kind must be mse, kappa or coverage, got {kind!r}")
-    model_name = section.get("model", "")
-    model_kwargs = {}
-    if "model" in parser:
-        for key, raw in parser["model"].items():
-            if key == "family":
-                model_name = raw
-                continue
-            try:
-                model_kwargs[key] = float(raw)
-            except ValueError:
-                problems.append(f"model parameter {key}={raw!r} is not numeric")
+    model_section = parser["model"] if "model" in parser else {}
+    model_name = model_section.get("family", section.get("model", ""))
     if not model_name:
         problems.append("a model name is required ([study] model= or [model] family=)")
-    elif model_name not in MODEL_BUILDERS:
-        problems.append(f"unknown model {model_name!r}")
+    else:
+        try:
+            model = _build_model(model_name, model_section)
+        except UsageError as exc:
+            problems.append(str(exc))
     seed_text = section.get("seed", "")
     seed = ns.seed
     if seed is None and seed_text:
@@ -398,7 +408,6 @@ def _study_config_from_file(ns) -> tuple:
     if problems:
         raise UsageError("config errors: " + "; ".join(problems))
 
-    model = get_model(model_name, **model_kwargs)
     design_factory = None
     if first is not None:
         design_factory = lambda n: model.default_design(n, m=first)
@@ -463,6 +472,8 @@ def cmd_select(ns) -> int:
         raise UsageError("q must be comma-separated integers, level comma floats") from None
     if any(q < 1 for q in qs):
         raise UsageError("q must be at least 1")
+    if not all(0.0 < level < 1.0 for level in levels):
+        raise UsageError(f"--level must list levels in (0, 1), got {ns.level!r}")
     a = float(ns.a)
     ncp = a * a
     print(f"departure size a: {a!r} (noncentrality {ncp!r})")
@@ -527,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     sel = sub.add_parser("select", help="model-selection probabilities and power")
-    sel.add_argument("--a", type=float, default=0.0)
+    sel.add_argument("--a", type=_departure_size, default=0.0)
     sel.add_argument("--q", default="1,2,3,4")
     sel.add_argument("--level", default="0.01,0.05,0.1,0.2")
     sel.add_argument("--n", type=_positive_int)

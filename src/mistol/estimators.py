@@ -10,7 +10,7 @@ correspondence; risk evaluation and Monte Carlo studies consume it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -213,13 +213,7 @@ def bickel(m: float = 2.0) -> AEstimator:
     prior = DensityPrior(
         lambda a: np.cos(math.pi * a / (2.0 * m)) ** 2 / m, -m, m, name="cosine-squared"
     )
-    points, weights = _prior_nodes(prior)
-
-    def a_fn(z):
-        return _posterior_means(points, weights, z)
-
-    c0 = float(a_fn(np.array([1e-6]))[0]) / 1e-6
-    return AEstimator("bickel", a_fn, c0=c0, params=(("m", m),), elementwise=False)
+    return replace(bayes_estimator(prior), name="bickel", params=(("m", m),))
 
 
 def restricted(m: float = 1.0) -> AEstimator:
@@ -313,28 +307,6 @@ def qtilde(l: float = 0.5) -> AEstimator:
     )
 
 
-def catalogue() -> list[AEstimator]:
-    """Every built-in compromise rule at its documented default parameters."""
-    return [
-        narrow_rule(),
-        wide_rule(),
-        linear(),
-        pretest(),
-        eb(),
-        qhat(),
-        bayes(),
-        epsilon_bayes(),
-        tanh_twopoint(),
-        bickel(),
-        restricted(),
-        efron_morris(),
-        atan_shrink(),
-        uniform_bayes(),
-        mlplus(),
-        qtilde(),
-    ]
-
-
 _FACTORIES: dict[str, tuple[Callable, tuple]] = {
     "narrow": (narrow_rule, ()),
     "wide": (wide_rule, ()),
@@ -353,6 +325,11 @@ _FACTORIES: dict[str, tuple[Callable, tuple]] = {
     "mlplus": (mlplus, ()),
     "qtilde": (qtilde, ("l",)),
 }
+
+
+def catalogue() -> list[AEstimator]:
+    """Every built-in compromise rule at its documented default parameters."""
+    return [factory() for factory, _ in _FACTORIES.values()]
 
 
 def estimator_names() -> tuple:
@@ -660,14 +637,24 @@ def _checked_sample(model, y, design) -> np.ndarray:
     return y
 
 
-def _stacked_result(model, wide, params, loglik, gnorm, iterations, method, errors):
-    for r in errors:
-        params[r], loglik[r], gnorm[r] = np.nan, np.nan, np.nan
+def _fit_result(model, wide, single, params, loglik, gnorm, iterations, method, errors):
+    """The FitResult of per-row values, each with a leading row axis.
+
+    A single sample raises row 0's error or unwraps row 0. A stack keeps
+    every row; a row listed in errors is NaN.
+    """
+    if single:
+        if errors:
+            raise errors[0]
+        params, loglik, gnorm = params[0], float(loglik[0]), float(gnorm[0])
+    else:
+        for r in errors:
+            params[r], loglik[r], gnorm[r] = np.nan, np.nan, np.nan
     p = model.p
     return FitResult(
         params=params,
-        theta=params[:, :p],
-        gamma=params[:, p:] if wide else None,
+        theta=params[..., :p],
+        gamma=params[..., p:] if wide else None,
         loglik=loglik,
         iterations=iterations,
         grad_norm=gnorm,
@@ -754,26 +741,24 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
         try:
             _checked_sample(model, row, design)
         except DomainError as err:
-            if single:
-                raise
             errors[r] = err
-    if single:
-        params, loglik, gnorm = _closed_values(model, y, design, exact, wide)
-    else:
-        live = [r for r in range(len(rows)) if r not in errors]
-        params = np.full((len(rows), model.p + model.q * wide), np.nan)
-        loglik, gnorm = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-        try:
-            parts = [(live, _closed_values(model, rows[live], design, exact, wide))] if live else []
-        except NumericsError:
-            parts = []
-            for r in live:
-                try:
-                    parts.append(([r], _closed_values(model, rows[r:r + 1], design, exact, wide)))
-                except NumericsError as err:
-                    errors[r] = err
-        for idx, (values, lls, norms) in parts:
-            params[idx], loglik[idx], gnorm[idx] = values, lls, norms
+    live = [r for r in range(len(rows)) if r not in errors]
+    params = np.full((len(rows), model.p + model.q * wide), np.nan)
+    loglik, gnorm = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+    block = y if single else rows[live]  # a single sample stays 1-D
+    try:
+        parts = [(live, _closed_values(model, block, design, exact, wide))] if live else []
+    except NumericsError:
+        if single:
+            raise
+        parts = []
+        for r in live:
+            try:
+                parts.append(([r], _closed_values(model, rows[r:r + 1], design, exact, wide)))
+            except NumericsError as err:
+                errors[r] = err
+    for idx, (values, lls, norms) in parts:
+        params[idx], loglik[idx], gnorm[idx] = values, lls, norms
     outside = ~np.isfinite(loglik)
     failing = outside | ~(gnorm <= 1e-8 * (1.0 + np.abs(loglik)))
     for r in np.flatnonzero(failing).tolist():
@@ -784,24 +769,16 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
                 f"closed fit of {model.name!r} lands outside the likelihood support"
             )
         else:
+            # a finite log-likelihood with an overflowing gradient: the fitted
+            # scale is rounding noise, as for a constant response
+            degenerate = "" if np.isfinite(gnorm[r]) else (
+                "; the sample looks degenerate (a constant response or group?)"
+            )
             errors[r] = FitError(
                 f"closed fit of {model.name!r} reports gradient norm {gnorm[r]:.3e} "
-                f"above tolerance", [(float(loglik[r]), float(gnorm[r]))]
+                f"above tolerance{degenerate}", [(float(loglik[r]), float(gnorm[r]))]
             )
-    if single:
-        if errors:
-            raise errors[0]
-        values = params[0]
-        return FitResult(
-            params=values,
-            theta=values[:model.p],
-            gamma=values[model.p:] if wide else None,
-            loglik=float(loglik[0]),
-            iterations=0,
-            grad_norm=float(gnorm[0]),
-            method="closed",
-        )
-    return _stacked_result(model, wide, params, loglik, gnorm, 0, "closed", errors)
+    return _fit_result(model, wide, single, params, loglik, gnorm, 0, "closed", errors)
 
 
 def _newton_fit(model, y, design, start) -> FitResult:
@@ -828,12 +805,16 @@ def _newton_fit(model, y, design, start) -> FitResult:
 
 
 def fit_rows(fit, model: ModelSpec, y, design: Design, wide: bool) -> FitResult:
-    """fit(model, row, design) on each row of the stack y, gathered into one
-    stacked FitResult; a row that raises a NumericsError is listed in errors.
+    """fit on the stack y as one stacked FitResult.
 
     fit is fit_narrow (wide False) or fit_wide (wide True), or a wrapper of
-    one. Each row's fit is a call of its own.
+    one. A closed-form fit takes the whole stack in one call. A Newton fit
+    is called on each row, and a row that raises a NumericsError is listed
+    in errors. The rows are separate calls so that each stays a fit of its
+    own: perfbench's per-fit spans and its failure ledger count them so.
     """
+    if (model.wide_fit_exact if wide else model.narrow_fit_exact) is not None:
+        return fit(model, y, design)
     k = model.p + model.q * wide
     params = np.full((len(y), k), np.nan)
     loglik, gnorm = np.full(len(y), np.nan), np.full(len(y), np.nan)
@@ -846,9 +827,7 @@ def fit_rows(fit, model: ModelSpec, y, design: Design, wide: bool) -> FitResult:
             continue
         params[r], loglik[r], gnorm[r] = one.params, one.loglik, one.grad_norm
         iterations += one.iterations
-    exact = model.wide_fit_exact if wide else model.narrow_fit_exact
-    method = "newton" if exact is None else "closed"
-    return _stacked_result(model, wide, params, loglik, gnorm, iterations, method, errors)
+    return _fit_result(model, wide, False, params, loglik, gnorm, iterations, "newton", errors)
 
 
 def fit_narrow(model: ModelSpec, y, design: Design) -> FitResult:

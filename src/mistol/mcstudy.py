@@ -169,16 +169,9 @@ def _draw(config: StudyConfig, r: int, gamma, design):
 
 
 def _fit_block(fit, model: ModelSpec, ys, design, wide: bool):
-    """fit (fit_narrow or fit_wide) on a block of draws, and the rows it kept.
-
-    A closed-form fit takes the block in one stacked call; a Newton fit
-    is called once per row, so that each stays a fit of its own.
-    """
-    exact = model.wide_fit_exact if wide else model.narrow_fit_exact
-    if exact is not None:
-        result = fit(model, ys, design)
-    else:
-        result = fit_rows(fit, model, ys, design, wide)
+    """fit (fit_narrow or fit_wide) on a block of draws through fit_rows,
+    and the rows it kept."""
+    result = fit_rows(fit, model, ys, design, wide)
     return result, [i for i in range(len(ys)) if i not in result.errors]
 
 
@@ -486,8 +479,9 @@ def _curve_crossings(curve_a, curve_b):
 # interval coverage
 
 
-def coverage_study(config: StudyConfig, level: float | None = None) -> StudyResult:
-    """Empirical coverage of the narrow and wide plug-in intervals.
+def coverage_study(config: StudyConfig) -> StudyResult:
+    """Empirical coverage of the narrow and wide plug-in intervals at
+    config.level.
 
     Rows carry the prediction from ci_coverage (narrow) or the nominal
     level (wide) alongside the Monte Carlo estimate.
@@ -495,10 +489,7 @@ def coverage_study(config: StudyConfig, level: float | None = None) -> StudyResu
     from .numerics import std_normal_quantile
 
     model = config.model
-    level = config.level if level is None else float(level)
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    z = std_normal_quantile((1.0 + level) / 2.0)
+    z = std_normal_quantile((1.0 + config.level) / 2.0)
     theta0 = np.asarray(model.theta0, dtype=float)
     gamma0 = np.asarray(model.gamma0, dtype=float)
     if model.q != 1:
@@ -531,7 +522,7 @@ def coverage_study(config: StudyConfig, level: float | None = None) -> StudyResu
                     shift = truth_geom.bias_slope * delta / truth_geom.tau0
                     predicted = ci_coverage(shift, z)
                 else:
-                    predicted = level
+                    predicted = config.level
                 rows.append((delta, n, kind, cov, float(se), float(predicted)))
     return StudyResult(
         header=("delta", "n", "interval", "coverage", "se", "predicted"),

@@ -23,8 +23,9 @@ from .numerics import (
     DomainError,
     NumericsError,
     PartitionedInfo,
+    _legendre_rule,
     central_gradient,
-    std_normal_cdf,
+    shifted_normal_nodes,
     std_normal_pdf,
     std_normal_quantile,
 )
@@ -283,27 +284,27 @@ def information_at_null(model: ModelSpec, design: Design, theta=None) -> Partiti
     return stacked
 
 
-def information_generic(model: ModelSpec, design: Design, theta=None) -> PartitionedInfo:
-    """Information by quadrature: average E[s s'] over the design rows."""
+def _null_scores(model: ModelSpec, design: Design, theta):
+    """The null scores U and V at every node of the null quadrature, as
+    columns over the flattened (observation, node) grid, and the weight of
+    each grid point in the design average."""
     theta = np.asarray(model.theta0 if theta is None else theta, dtype=float)
     ymat, wmat = model.null_quadrature(theta, design)
-    k = ymat.shape[1]
-    rep = design.repeat(k)
-    u, v = model.score_null(np.ravel(ymat), rep, theta)
-    scores = np.hstack([np.atleast_2d(u.T).T, np.atleast_2d(v.T).T])
-    w = np.ravel(wmat) / design.n
+    u, v = model.score_null(np.ravel(ymat), design.repeat(ymat.shape[1]), theta)
+    return np.atleast_2d(u.T).T, np.atleast_2d(v.T).T, np.ravel(wmat) / design.n
+
+
+def information_generic(model: ModelSpec, design: Design, theta=None) -> PartitionedInfo:
+    """Information by quadrature: average E[s s'] over the design rows."""
+    u, v, w = _null_scores(model, design, theta)
+    scores = np.hstack([u, v])
     full = scores.T @ (scores * w[:, None])
     return PartitionedInfo.from_full(0.5 * (full + full.T), model.p)
 
 
 def mean_abs_departure_score(model: ModelSpec, design: Design, theta=None) -> np.ndarray:
     """E0 |V(Y)| per departure coordinate, averaged over the design."""
-    theta = np.asarray(model.theta0 if theta is None else theta, dtype=float)
-    ymat, wmat = model.null_quadrature(theta, design)
-    k = ymat.shape[1]
-    _, v = model.score_null(np.ravel(ymat), design.repeat(k), theta)
-    v = np.atleast_2d(v.T).T
-    w = np.ravel(wmat) / design.n
+    _, v, w = _null_scores(model, design, theta)
     return np.abs(v).T @ w
 
 
@@ -322,7 +323,7 @@ def _exp_unit_nodes(
     log y factor (the shape scores of the Weibull and gamma departures) keep
     the endpoint singularity confined to a panel of negligible mass.
     """
-    gx, gw = np.polynomial.legendre.leggauss(per)
+    gx, gw = _legendre_rule(per)
     nodes, weights = [], []
     for lo, hi in zip(panels[:-1], panels[1:]):
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -332,16 +333,18 @@ def _exp_unit_nodes(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-@lru_cache(maxsize=4)
-def _gh_unit_nodes(count=200):
-    x, w = np.polynomial.hermite.hermgauss(count)
-    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
-
-
 def _broadcast_nodes(design: Design, y_row: np.ndarray, w_row: np.ndarray):
     ymat = np.broadcast_to(y_row, (design.n, y_row.size))
     wmat = np.broadcast_to(w_row, (design.n, w_row.size))
     return ymat, wmat
+
+
+def _normal_nodes(means: np.ndarray, sigma: float):
+    """Null quadrature of normal errors with scale sigma about each of the
+    means (n,): the standard normal rule of numerics, shifted and scaled."""
+    z, wt = shifted_normal_nodes(0.0)
+    ymat = means[:, None] + sigma * z[None, :]
+    return ymat, np.broadcast_to(wt, ymat.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +581,19 @@ def _centered(design: Design) -> np.ndarray:
     return x - float(np.mean(x))
 
 
+def _centered_slope_fit(y, design):
+    """(sigma, slope) of the no-intercept fit on the centred covariate."""
+    coef, s = _lstsq_fit(y, _centered(design)[:, None])
+    return np.stack([s, coef[..., 0]], axis=-1)
+
+
+def _line_fit(y, design):
+    """(sigma, intercept, slope) of the straight-line fit on column 0."""
+    x = design.column(0)
+    coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x]))
+    return np.concatenate([s[..., None], coef], axis=-1)
+
+
 def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
     """Centered straight-line regression, departure = quadratic term.
 
@@ -613,15 +629,7 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         return means(design, theta, gamma) + float(theta[0]) * rng.standard_normal(design.n)
 
     def null_quadrature(theta, design):
-        z, wt = _gh_unit_nodes()
-        t = _centered(design)
-        ymat = theta[1] * t[:, None] + float(theta[0]) * z[None, :]
-        return ymat, np.broadcast_to(wt, ymat.shape)
-
-    def narrow_fit_exact(y, design):
-        t = _centered(design)
-        coef, s = _lstsq_fit(y, t[:, None])
-        return np.stack([s, coef[..., 0]], axis=-1)
+        return _normal_nodes(theta[1] * _centered(design), float(theta[0]))
 
     def wide_fit_exact(y, design):
         t = _centered(design)
@@ -649,7 +657,7 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
         null_quadrature=null_quadrature,
         closed_information=closed_information,
-        narrow_fit_exact=narrow_fit_exact,
+        narrow_fit_exact=_centered_slope_fit,
         wide_fit_exact=wide_fit_exact,
         estimand_factories={
             "slope": lambda design: Estimand(
@@ -705,15 +713,7 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
         return means(design, theta, gamma) + float(theta[0]) * rng.standard_normal(design.n)
 
     def null_quadrature(theta, design):
-        z, wt = _gh_unit_nodes()
-        m = theta[1] + theta[2] * design.column(0)
-        ymat = m[:, None] + float(theta[0]) * z[None, :]
-        return ymat, np.broadcast_to(wt, ymat.shape)
-
-    def narrow_fit_exact(y, design):
-        x = design.column(0)
-        coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x]))
-        return np.concatenate([s[..., None], coef], axis=-1)
+        return _normal_nodes(theta[1] + theta[2] * design.column(0), float(theta[0]))
 
     def wide_fit_exact(y, design):
         x, zcol = design.column(0), design.column(1)
@@ -746,7 +746,7 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
         default_design=covariate_design,
         null_quadrature=null_quadrature,
         closed_information=closed_information,
-        narrow_fit_exact=narrow_fit_exact,
+        narrow_fit_exact=_line_fit,
         wide_fit_exact=wide_fit_exact,
         estimand_factories={"mean-at": mean_at},
         default_estimand="mean-at",
@@ -796,15 +796,7 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
         return m + np.sqrt(var) * rng.standard_normal(design.n)
 
     def null_quadrature(theta, design):
-        z, wt = _gh_unit_nodes()
-        m = theta[1] + theta[2] * design.column(0)
-        ymat = m[:, None] + float(theta[0]) * z[None, :]
-        return ymat, np.broadcast_to(wt, ymat.shape)
-
-    def narrow_fit_exact(y, design):
-        x = design.column(0)
-        coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x]))
-        return np.concatenate([s[..., None], coef], axis=-1)
+        return _normal_nodes(theta[1] + theta[2] * design.column(0), float(theta[0]))
 
     def sd_at(design, x0=None):
         x0 = float(np.mean(design.column(0)) if x0 is None else x0)
@@ -835,7 +827,7 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
         default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
         null_quadrature=null_quadrature,
         closed_information=closed_information,
-        narrow_fit_exact=narrow_fit_exact,
+        narrow_fit_exact=_line_fit,
         estimand_factories={"sd-at": sd_at, "mean-at": mean_at},
         default_estimand="sd-at",
     )
@@ -845,13 +837,13 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
 # power-transformed normal families
 
 
-def transformation_constants(nodes: int = 200):
+def transformation_constants():
     """The two cross-information constants of the transformed-normal model.
 
     Returns (a, b) with a = E[N log Phi(N)] and b = E[1 + N^2 log Phi(N)]
     for a standard normal N, computed by Gauss-Hermite quadrature.
     """
-    z, w = _gh_unit_nodes(nodes)
+    z, w = shifted_normal_nodes(0.0)
     logphi = special.log_ndtr(z)
     a = float(w @ (z * logphi))
     b = float(w @ (1.0 + z * z * logphi))
@@ -882,7 +874,7 @@ def reparameterised_noise_summaries(power: float) -> NoiseSummaries:
     )
     lo = -math.sqrt(83.0 / min(lam, 1.0) + 25.0)
     hi = 10.0 + math.sqrt(max(math.log(max(lam, 1.0)), 0.0))
-    gx, gw = np.polynomial.legendre.leggauss(160)
+    gx, gw = _legendre_rule(160)
     edges = np.linspace(lo, hi, 9)
     m1 = m2 = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -944,7 +936,7 @@ def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
         return _transform_sampler(theta[1], float(theta[0]), float(gamma[0]), design.n, rng)
 
     def null_quadrature(theta, design):
-        z, wt = _gh_unit_nodes()
+        z, wt = shifted_normal_nodes(0.0)
         return _broadcast_nodes(design, theta[1] + float(theta[0]) * z, wt)
 
     def narrow_fit_exact(y, design):
@@ -1016,13 +1008,7 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         )
 
     def null_quadrature(theta, design):
-        z, wt = _gh_unit_nodes()
-        ymat = theta[1] * _centered(design)[:, None] + float(theta[0]) * z[None, :]
-        return ymat, np.broadcast_to(wt, ymat.shape)
-
-    def narrow_fit_exact(y, design):
-        coef, s = _lstsq_fit(y, _centered(design)[:, None])
-        return np.stack([s, coef[..., 0]], axis=-1)
+        return _normal_nodes(theta[1] * _centered(design), float(theta[0]))
 
     def median_at(design, x0=None):
         x = design.column(0)
@@ -1044,7 +1030,7 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
         null_quadrature=null_quadrature,
         closed_information=closed_information,
-        narrow_fit_exact=narrow_fit_exact,
+        narrow_fit_exact=_centered_slope_fit,
         estimand_factories={"median-at": median_at},
         default_estimand="median-at",
     )
@@ -1256,11 +1242,8 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
         return m + np.sqrt(var) * rng.standard_normal(design.n)
 
     def null_quadrature(theta, design):
-        z, wt = _gh_unit_nodes()
-        g = design.column(0)
-        m = np.where(g > 0.5, theta[1], theta[0])
-        ymat = m[:, None] + float(theta[2]) * z[None, :]
-        return ymat, np.broadcast_to(wt, ymat.shape)
+        m = np.where(design.column(0) > 0.5, theta[1], theta[0])
+        return _normal_nodes(m, float(theta[2]))
 
     def group_means(y, design):
         y = np.asarray(y, dtype=float)

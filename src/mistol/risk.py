@@ -25,7 +25,6 @@ from .numerics import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from .tolerance import kappa_squared_block
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,26 @@ def weibull_data(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("select", "--a", "-1"), "--a"),
+    (("select", "--a", "nan"), "--a"),
+    (("select", "--level", "2"), "--level"),
+    (("select", "--level", "0.05,nan"), "--level"),
+    (("risk", "--loss", "l1:nan"), "--loss"),
+    (("risk", "--loss", "l1:inf"), "--loss"),
+    (("risk", "--grid", "0:nan:0.1"), "--grid"),
+])
+def test_numbers_outside_their_range_are_usage_errors(argv, name, capsys):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert any("error:" in line and name in line for line in err.splitlines()), err
+    assert out == ""
+
+
 class TestEstimateCommand:
     def test_weibull_fit_and_compromises(self, weibull_data):
         code, out, _ = run_cli(
@@ -334,6 +354,19 @@ class TestSimulateCommand:
             "[model]\nfamily = weibull-vs-exp\nrate = 0.5\n",
         )
         assert run_cli("simulate", "--config", str(cfg))[0] == 0
+
+    def test_bad_model_keyword_is_a_config_error(self, tmp_path):
+        cfg = study_ini(
+            tmp_path,
+            "[study]\nkind = kappa\nkappa_method = gamma-sd\nn = 60\n"
+            f"replications = 100\nseed = 2\nout = {tmp_path / 'k4'}\n"
+            "[model]\nfamily = weibull-vs-exp\nbogus = 0.5\n",
+        )
+        code, _, err = run_cli("simulate", "--config", str(cfg))
+        assert code == 2
+        assert "config errors:" in err and "'bogus'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "k4.csv").exists()
 
     def test_missing_config_file(self, tmp_path):
         code, _, err = run_cli("simulate", "--config", str(tmp_path / "none.ini"))

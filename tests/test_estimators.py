@@ -479,6 +479,19 @@ class TestFitting:
         with pytest.raises(FitError):
             fit_narrow(model, np.full(10, 3.0), design)
 
+    @pytest.mark.parametrize(
+        "name", ["linreg-covariate", "varhet-regression", "transform-constant", "two-sample"]
+    )
+    def test_constant_response_is_named_degenerate(self, name):
+        model = get_model(name)
+        design = model.default_design(60)
+        # a constant that its mean does not reproduce exactly: the fitted
+        # scale is about 1e-16, not 0, so the log-likelihood stays finite
+        y = np.full(design.n, replication_rng(9, 0).standard_normal(60).mean())
+        for fit in (fit_narrow, fit_wide):
+            with pytest.raises(FitError, match="above tolerance; the sample looks degenerate"):
+                fit(model, y, design)
+
     def test_empty_sample(self):
         model = get_model("weibull-vs-exp")
         with pytest.raises(DomainError):

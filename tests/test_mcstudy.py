@@ -544,9 +544,10 @@ class TestCoverageStudy:
         assert abs(wide[3] - 0.90) < 4.0 * wide[4] + 0.02
 
     def test_level_override_and_validation(self):
-        config = weibull_config(n_list=(120,), replications=100)
-        result = coverage_study(config, level=0.8)
+        config = weibull_config(n_list=(120,), replications=100, level=0.8)
+        result = coverage_study(config)
         wide_rows = [row for row in result.rows if row[2] == "wide"]
         assert wide_rows[0][5] == pytest.approx(0.8, abs=1e-12)
+        assert "level: 0.8" in result.manifest
         with pytest.raises(ValueError):
-            coverage_study(config, level=1.2)
+            weibull_config(n_list=(120,), replications=100, level=1.2)
