@@ -761,22 +761,23 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
         params[idx], loglik[idx], gnorm[idx] = values, lls, norms
     outside = ~np.isfinite(loglik)
     failing = outside | ~(gnorm <= 1e-8 * (1.0 + np.abs(loglik)))
+    # A closed fit of a built-in lands outside the support only where its
+    # fitted scale is exactly 0 or a variance ratio is 0/0, and its gradient
+    # overflows at a finite log-likelihood only where the scale is rounding
+    # noise: in both cases, as for a constant response.
+    degenerate = "; the sample looks degenerate (a constant response or group?)"
     for r in np.flatnonzero(failing).tolist():
         if r in errors:
             continue
         if outside[r]:
             errors[r] = FitError(
-                f"closed fit of {model.name!r} lands outside the likelihood support"
+                f"closed fit of {model.name!r} lands outside the likelihood support{degenerate}"
             )
         else:
-            # a finite log-likelihood with an overflowing gradient: the fitted
-            # scale is rounding noise, as for a constant response
-            degenerate = "" if np.isfinite(gnorm[r]) else (
-                "; the sample looks degenerate (a constant response or group?)"
-            )
+            hint = "" if np.isfinite(gnorm[r]) else degenerate
             errors[r] = FitError(
                 f"closed fit of {model.name!r} reports gradient norm {gnorm[r]:.3e} "
-                f"above tolerance{degenerate}", [(float(loglik[r]), float(gnorm[r]))]
+                f"above tolerance{hint}", [(float(loglik[r]), float(gnorm[r]))]
             )
     return _fit_result(model, wide, single, params, loglik, gnorm, 0, "closed", errors)
 

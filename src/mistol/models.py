@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -87,16 +86,16 @@ def _golden_sequence(n: int) -> np.ndarray:
 # estimands
 
 
-def _col(params, j):
-    """Parameter j of a vector (a scalar), or of each row of a stack (B, k)
-    (a column (B, 1)), so that it broadcasts against y of shape (n,) or
-    (B, n)."""
+def _cols(params):
+    """The parameters of a vector as floats, or those of each row of a stack
+    (B, k) as columns (B, 1), so that they broadcast against y of shape (n,)
+    or (B, n)."""
     params = np.asarray(params, dtype=float)
-    return params[:, j, None] if params.ndim > 1 else params[j]
+    return params.tolist() if params.ndim < 2 else list(params.T[:, :, None])
 
 
 def _log(col):
-    """math.log of a parameter (see _col), entry by entry for a column, NaN
+    """math.log of a parameter (see _cols), entry by entry for a column, NaN
     where it is not positive; one parameter vector gets the scalar bits."""
     if not isinstance(col, np.ndarray):
         return math.log(col) if col > 0.0 else math.nan
@@ -105,7 +104,7 @@ def _log(col):
 
 
 def _square(col):
-    """A parameter (see _col) squared as Python's float power does."""
+    """A parameter (see _cols) squared as Python's float power does."""
     if not isinstance(col, np.ndarray):
         return float(col) ** 2
     return np.array([v**2 for v in col.ravel().tolist()]).reshape(col.shape)
@@ -309,21 +308,67 @@ def mean_abs_departure_score(model: ModelSpec, design: Design, theta=None) -> np
 
 
 # ---------------------------------------------------------------------------
-# shared quadrature node layouts
+# pieces shared by the built-in families
 
 
-@lru_cache(maxsize=4)
-def _exp_unit_nodes(
-    panels=(0.0, 2.0**-20, 2.0**-15, 2.0**-10, 2.0**-5, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0),
-    per=48,
-):
+def _iid_design(n, **kw):
+    return Design(int(n))
+
+
+def _x0_or_max(design: Design, x0) -> float:
+    """The estimand's covariate value x0, by default the largest in column 0."""
+    return float(max(design.column(0)) if x0 is None else x0)
+
+
+def _centered(design: Design) -> np.ndarray:
+    x = design.column(0)
+    return x - float(np.mean(x))
+
+
+def _linear_mean(coefs, columns):
+    """sum_j coefs[j] * columns[j], added in column order. A column may be
+    the float 1.0, so that an intercept enters as its own bits."""
+    mean = coefs[0] * columns[0]
+    for j in range(1, len(columns)):
+        mean = mean + coefs[j] * columns[j]
+    return mean
+
+
+def _residual(y, coefs, columns):
+    """y less each term coefs[j] * columns[j] in turn, in column order."""
+    r = np.asarray(y, dtype=float)
+    for b, c in zip(coefs, columns):
+        r = r - b * c
+    return r
+
+
+def _mean_products(columns) -> np.ndarray:
+    """The matrix of design averages of c_i * c_j over the columns."""
+    return np.array([[float(np.mean(a * b)) for b in columns] for a in columns])
+
+
+def _least_squares(y, columns):
+    """The ML residual scale followed by the least squares coefficients of y
+    on the columns (see _linear_mean), for y (n,) or each row of (B, n)."""
+    y = np.asarray(y, dtype=float)
+    matrix = np.column_stack(np.broadcast_arrays(*columns))
+    coef = np.linalg.lstsq(matrix, y.T, rcond=None)[0].T
+    sigma = np.sqrt(np.mean((y - coef @ matrix.T) ** 2, axis=-1))
+    return np.concatenate([sigma[..., None], coef], axis=-1)
+
+
+@functools.cache
+def _exp_unit_nodes():
     """Nodes/weights integrating g against the unit exponential density.
 
     The panels are graded geometrically near zero so that integrands with a
     log y factor (the shape scores of the Weibull and gamma departures) keep
     the endpoint singularity confined to a panel of negligible mass.
     """
-    gx, gw = _legendre_rule(per)
+    panels = (
+        0.0, 2.0**-20, 2.0**-15, 2.0**-10, 2.0**-5, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0
+    )
+    gx, gw = _legendre_rule(48)
     nodes, weights = [], []
     for lo, hi in zip(panels[:-1], panels[1:]):
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -333,34 +378,51 @@ def _exp_unit_nodes(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _broadcast_nodes(design: Design, y_row: np.ndarray, w_row: np.ndarray):
-    ymat = np.broadcast_to(y_row, (design.n, y_row.size))
-    wmat = np.broadcast_to(w_row, (design.n, w_row.size))
-    return ymat, wmat
-
-
-def _normal_nodes(means: np.ndarray, sigma: float):
-    """Null quadrature of normal errors with scale sigma about each of the
-    means (n,): the standard normal rule of numerics, shifted and scaled."""
+def _normal_nodes(means, sigma: float, n: int):
+    """Null quadrature of normal errors with scale sigma about each of the n
+    means (a scalar is every row's mean): the standard normal rule of
+    numerics, shifted and scaled."""
     z, wt = shifted_normal_nodes(0.0)
-    ymat = means[:, None] + sigma * z[None, :]
+    ymat = np.broadcast_to(means, (n,))[:, None] + sigma * z[None, :]
     return ymat, np.broadcast_to(wt, ymat.shape)
 
 
 # ---------------------------------------------------------------------------
-# Example family: exponential narrow model
+# exponential narrow model
 
 
-def _require_positive(y, what="observations"):
+def _require_positive(y, design=None):
     y = np.asarray(y, dtype=float)
     if y.size == 0:
-        raise DomainError(f"empty {what}")
+        raise DomainError("empty observations")
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
-        raise DomainError(f"{what} must be positive and finite")
+        raise DomainError("observations must be positive and finite")
 
 
 def _exp_rate_mle(y, design):
     return 1.0 / np.mean(y, axis=-1, keepdims=True)
+
+
+def _exp_null_quadrature(theta, design):
+    w, wt = _exp_unit_nodes()
+    shape = (design.n, w.size)
+    return np.broadcast_to(w / float(theta[0]), shape), np.broadcast_to(wt, shape)
+
+
+def _exponential(name: str, rate: float, **fields) -> ModelSpec:
+    """Exponential(rate) narrow model inside a wide family whose shape has
+    null value 1; fields give the wide family's own callables."""
+    return ModelSpec(
+        name=name,
+        param_names=("rate", "shape"),
+        theta0=(rate,),
+        gamma0=(1.0,),
+        default_design=_iid_design,
+        null_quadrature=_exp_null_quadrature,
+        narrow_fit_exact=_exp_rate_mle,
+        data_check=_require_positive,
+        **fields,
+    )
 
 
 def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
@@ -370,7 +432,7 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
     """
 
     def log_density(y, design, theta, gamma):
-        th, g = _col(theta, 0), _col(gamma, 0)
+        (th,), (g,) = _cols(theta), _cols(gamma)
         y = np.asarray(y, dtype=float)
         return _on_support(
             lambda: _log(g) + g * _log(th) + (g - 1.0) * np.log(y) - (th * y) ** g, th, g, y
@@ -395,10 +457,6 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
         th, g = float(theta[0]), float(gamma[0])
         return rng.exponential(1.0, design.n) ** (1.0 / g) / th
 
-    def null_quadrature(theta, design):
-        w, wt = _exp_unit_nodes()
-        return _broadcast_nodes(design, w / float(theta[0]), wt)
-
     def wide_fit_exact(y, design):
         y = np.asarray(y, dtype=float)
         shape = np.asarray(_weibull_shape_mle(y))[..., None]
@@ -417,20 +475,14 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
 
     median = Estimand("median", median_value, median_grad_theta, median_grad_gamma)
 
-    return ModelSpec(
-        name="weibull-vs-exp",
-        param_names=("rate", "shape"),
-        theta0=(rate,),
-        gamma0=(1.0,),
+    return _exponential(
+        "weibull-vs-exp",
+        rate,
         log_density=log_density,
         score_null=score_null,
         sampler=sampler,
-        default_design=lambda n, **kw: Design(int(n)),
-        null_quadrature=null_quadrature,
         closed_information=closed_information,
-        narrow_fit_exact=_exp_rate_mle,
         wide_fit_exact=wide_fit_exact,
-        data_check=lambda y, design: _require_positive(y),
         estimand_factories={
             "median": lambda design: median,
             "mean": lambda design: Estimand(
@@ -500,7 +552,7 @@ def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
     """Exponential(rate) narrow model inside the gamma family (shape null 1)."""
 
     def log_density(y, design, theta, gamma):
-        th, g = _col(theta, 0), _col(gamma, 0)
+        (th,), (g,) = _cols(theta), _cols(gamma)
         y = np.asarray(y, dtype=float)
         return _on_support(
             lambda: g * _log(th) - special.gammaln(g) + (g - 1.0) * np.log(y) - th * y,
@@ -524,23 +576,13 @@ def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
     def sampler(theta, gamma, design, rng):
         return rng.gamma(float(gamma[0]), 1.0 / float(theta[0]), design.n)
 
-    def null_quadrature(theta, design):
-        w, wt = _exp_unit_nodes()
-        return _broadcast_nodes(design, w / float(theta[0]), wt)
-
-    return ModelSpec(
-        name="gamma-vs-exp",
-        param_names=("rate", "shape"),
-        theta0=(rate,),
-        gamma0=(1.0,),
+    return _exponential(
+        "gamma-vs-exp",
+        rate,
         log_density=log_density,
         score_null=score_null,
         sampler=sampler,
-        default_design=lambda n, **kw: Design(int(n)),
-        null_quadrature=null_quadrature,
         closed_information=closed_information,
-        narrow_fit_exact=_exp_rate_mle,
-        data_check=lambda y, design: _require_positive(y),
         estimand_factories={
             "mean": lambda design: Estimand(
                 "mean",
@@ -554,44 +596,71 @@ def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# normal regression families
+# normal errors with an omitted mean term
 
 
-def _lstsq_fit(y, columns):
-    """Least squares coefficients and the ML residual scale of y, (n,) or
-    one fit per row of (B, n): coef (k,) or (B, k), sigma a float or (B,)."""
-    y = np.asarray(y, dtype=float)
-    coef = np.linalg.lstsq(columns, y.T, rcond=None)[0].T
-    resid = y - coef @ columns.T
-    return coef, np.sqrt(np.mean(resid**2, axis=-1))
+def _mean_departure(name: str, param_names, theta0, columns, **fields) -> ModelSpec:
+    """Normal errors about the mean sum_j beta_j c_j + gamma z, where the
+    narrow model omits the term in z; theta = (sigma, beta_1, ..., beta_k).
 
+    columns(design) -> ((c_1, ..., c_k), z), each an (n,) array or the float
+    1.0. Both fits are least squares.
+    """
+    p = len(theta0)
 
-def _normal_log_density(y, means, sigma):
-    """Normal log densities of y about means; -inf where sigma <= 0."""
+    def log_density(y, design, theta, gamma):
+        cols, z = columns(design)
+        s, *betas = _cols(theta)
+        means = _linear_mean(betas + _cols(gamma), cols + (z,))
 
-    def value():
-        z = (np.asarray(y, dtype=float) - means) / sigma
-        return -_log(sigma) - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+        def value():
+            r = (np.asarray(y, dtype=float) - means) / s
+            return -_log(s) - 0.5 * r * r - 0.5 * math.log(2.0 * math.pi)
 
-    return _on_support(value, sigma)
+        return _on_support(value, s)
 
+    def score_null(y, design, theta):
+        cols, z = columns(design)
+        s, *betas = _cols(theta)
+        r = _residual(y, betas, cols) / s
+        u = np.column_stack([(r * r - 1.0) / s] + [c * r / s for c in cols])
+        return u, (z * r / s)[:, None]
 
-def _centered(design: Design) -> np.ndarray:
-    x = design.column(0)
-    return x - float(np.mean(x))
+    def closed_information(theta, design):
+        cols, z = columns(design)
+        full = np.zeros((p + 1, p + 1))
+        full[0, 0] = 2.0
+        full[1:, 1:] = _mean_products(cols + (z,))
+        return PartitionedInfo.from_full(full / float(theta[0]) ** 2, p)
 
+    def sampler(theta, gamma, design, rng):
+        cols, z = columns(design)
+        s, *betas = _cols(theta)
+        return _linear_mean(betas + _cols(gamma), cols + (z,)) + s * rng.standard_normal(design.n)
 
-def _centered_slope_fit(y, design):
-    """(sigma, slope) of the no-intercept fit on the centred covariate."""
-    coef, s = _lstsq_fit(y, _centered(design)[:, None])
-    return np.stack([s, coef[..., 0]], axis=-1)
+    def null_quadrature(theta, design):
+        s, *betas = _cols(theta)
+        return _normal_nodes(_linear_mean(betas, columns(design)[0]), s, design.n)
 
+    def wide_fit_exact(y, design):
+        cols, z = columns(design)
+        params = _least_squares(y, cols + (z,))
+        return params[..., :p], params[..., p:]
 
-def _line_fit(y, design):
-    """(sigma, intercept, slope) of the straight-line fit on column 0."""
-    x = design.column(0)
-    coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x]))
-    return np.concatenate([s[..., None], coef], axis=-1)
+    return ModelSpec(
+        name=name,
+        param_names=param_names,
+        theta0=theta0,
+        gamma0=(0.0,),
+        log_density=log_density,
+        score_null=score_null,
+        sampler=sampler,
+        null_quadrature=null_quadrature,
+        closed_information=closed_information,
+        narrow_fit_exact=lambda y, design: _least_squares(y, columns(design)[0]),
+        wide_fit_exact=wide_fit_exact,
+        **fields,
+    )
 
 
 def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
@@ -601,44 +670,12 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
     gamma*(x - xbar)^2. theta = (sigma, beta).
     """
 
-    def means(design, theta, gamma):
+    def columns(design):
         t = _centered(design)
-        return _col(theta, 1) * t + _col(gamma, 0) * t * t
-
-    def log_density(y, design, theta, gamma):
-        return _normal_log_density(y, means(design, theta, gamma), _col(theta, 0))
-
-    def score_null(y, design, theta):
-        s = float(theta[0])
-        t = _centered(design)
-        z = (np.asarray(y, dtype=float) - theta[1] * t) / s
-        u = np.column_stack([(z * z - 1.0) / s, t * z / s])
-        v = (t * t * z / s)[:, None]
-        return u, v
-
-    def closed_information(theta, design):
-        s = float(theta[0])
-        t = _centered(design)
-        m2, m3, m4 = (float(np.mean(t**k)) for k in (2, 3, 4))
-        j11 = np.array([[2.0, 0.0], [0.0, m2]]) / s**2
-        j12 = np.array([[0.0], [m3]]) / s**2
-        j22 = np.array([[m4]]) / s**2
-        return PartitionedInfo(j11, j12, j22)
-
-    def sampler(theta, gamma, design, rng):
-        return means(design, theta, gamma) + float(theta[0]) * rng.standard_normal(design.n)
-
-    def null_quadrature(theta, design):
-        return _normal_nodes(theta[1] * _centered(design), float(theta[0]))
-
-    def wide_fit_exact(y, design):
-        t = _centered(design)
-        coef, s = _lstsq_fit(y, np.column_stack([t, t * t]))
-        return np.stack([s, coef[..., 0]], axis=-1), coef[..., 1:]
+        return (t,), t * t
 
     def mean_at(design, x0=None):
-        x = design.column(0)
-        t0 = float((max(x) if x0 is None else float(x0)) - np.mean(x))
+        t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
         return Estimand(
             f"mean-at(x0={x0 if x0 is not None else 'max'})",
             lambda th, g: th[1] * t0 + g[0] * t0 * t0,
@@ -646,19 +683,12 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
             lambda th, g: [t0 * t0],
         )
 
-    return ModelSpec(
-        name="linreg-quadratic",
-        param_names=("sigma", "slope", "curvature"),
-        theta0=(sigma, beta),
-        gamma0=(0.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
+    return _mean_departure(
+        "linreg-quadratic",
+        ("sigma", "slope", "curvature"),
+        (sigma, beta),
+        columns,
         default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        narrow_fit_exact=_centered_slope_fit,
-        wide_fit_exact=wide_fit_exact,
         estimand_factories={
             "slope": lambda design: Estimand(
                 "slope",
@@ -678,51 +708,8 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
     Design columns are (x, z); the wide mean is alpha + beta*x + gamma*z.
     """
 
-    def means(design, theta, gamma):
-        return (
-            _col(theta, 1)
-            + _col(theta, 2) * design.column(0)
-            + _col(gamma, 0) * design.column(1)
-        )
-
-    def log_density(y, design, theta, gamma):
-        return _normal_log_density(y, means(design, theta, gamma), _col(theta, 0))
-
-    def score_null(y, design, theta):
-        s = float(theta[0])
-        x, zcol = design.column(0), design.column(1)
-        r = (np.asarray(y, dtype=float) - theta[1] - theta[2] * x) / s
-        u = np.column_stack([(r * r - 1.0) / s, r / s, x * r / s])
-        v = (zcol * r / s)[:, None]
-        return u, v
-
-    def closed_information(theta, design):
-        s = float(theta[0])
-        x, zcol = design.column(0), design.column(1)
-        one = np.ones_like(x)
-        j11 = np.zeros((3, 3))
-        j11[0, 0] = 2.0
-        j11[1:, 1:] = np.array(
-            [[1.0, float(np.mean(x))], [float(np.mean(x)), float(np.mean(x * x))]]
-        )
-        j12 = np.array([[0.0], [float(np.mean(zcol))], [float(np.mean(x * zcol))]])
-        j22 = np.array([[float(np.mean(zcol * zcol))]])
-        return PartitionedInfo(j11 / s**2, j12 / s**2, j22 / s**2)
-
-    def sampler(theta, gamma, design, rng):
-        return means(design, theta, gamma) + float(theta[0]) * rng.standard_normal(design.n)
-
-    def null_quadrature(theta, design):
-        return _normal_nodes(theta[1] + theta[2] * design.column(0), float(theta[0]))
-
-    def wide_fit_exact(y, design):
-        x, zcol = design.column(0), design.column(1)
-        coef, s = _lstsq_fit(y, np.column_stack([np.ones_like(x), x, zcol]))
-        return np.concatenate([s[..., None], coef[..., :2]], axis=-1), coef[..., 2:]
-
     def mean_at(design, x0=None, z0=0.0):
-        x0 = float(max(design.column(0)) if x0 is None else x0)
-        z0 = float(z0)
+        x0, z0 = _x0_or_max(design, x0), float(z0)
         return Estimand(
             f"mean-at(x0={x0:g},z0={z0:g})",
             lambda th, g: th[1] + th[2] * x0 + g[0] * z0,
@@ -735,21 +722,85 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
         x = b * np.arange(1, n + 1) / (n + 1.0)
         return Design(n, np.column_stack([x, _golden_sequence(n)]))
 
+    return _mean_departure(
+        "linreg-covariate",
+        ("sigma", "intercept", "slope", "extra-slope"),
+        (sigma, alpha, beta),
+        lambda design: ((1.0, design.column(0)), design.column(1)),
+        default_design=covariate_design,
+        estimand_factories={"mean-at": mean_at},
+        default_estimand="mean-at",
+    )
+
+
+# ---------------------------------------------------------------------------
+# normal errors with a variance departure
+
+
+def _variance_departure(name: str, param_names, theta0, columns, scale_at: int,
+                        **fields) -> ModelSpec:
+    """Normal errors with mean sum_j beta_j c_j and variance s^2 (1 + gamma w).
+
+    theta holds the beta_j in order, with the scale s inserted at position
+    scale_at. columns(design) -> ((c_1, ..., c_k), w), each an (n,) array or
+    the float 1.0. The narrow fit is the model's own.
+    """
+    p = len(theta0)
+
+    def split(theta):
+        """(s, [beta_1, ..., beta_k]), as _cols gives them."""
+        betas = _cols(theta)
+        return betas.pop(scale_at), betas
+
+    def log_density(y, design, theta, gamma):
+        cols, w = columns(design)
+        (s, betas), (g,) = split(theta), _cols(gamma)
+        var = _square(s) * (1.0 + g * w)
+        r2 = (np.asarray(y, dtype=float) - _linear_mean(betas, cols)) ** 2
+        return _on_support(lambda: -0.5 * (np.log(2.0 * math.pi * var) + r2 / var), s, var)
+
+    def score_null(y, design, theta):
+        cols, w = columns(design)
+        s, betas = split(theta)
+        z = _residual(y, betas, cols) / s
+        u = [c * z / s for c in cols]
+        u.insert(scale_at, (z * z - 1.0) / s)
+        return np.column_stack(u), (0.5 * w * (z * z - 1.0))[:, None]
+
+    def closed_information(theta, design):
+        cols, w = columns(design)
+        s = float(theta[scale_at])
+        beta_at = [j for j in range(p) if j != scale_at]
+        full = np.zeros((p + 1, p + 1))
+        full[np.ix_(beta_at, beta_at)] = _mean_products(cols) / s**2
+        full[scale_at, scale_at] = 2.0 / s**2
+        full[scale_at, p] = full[p, scale_at] = float(np.mean(w)) / s
+        full[p, p] = float(np.mean(w * w)) / 2.0
+        return PartitionedInfo.from_full(full, p)
+
+    def sampler(theta, gamma, design, rng):
+        cols, w = columns(design)
+        s, betas = split(theta)
+        var = s**2 * (1.0 + float(gamma[0]) * w)
+        if np.any(var <= 0.0):
+            raise DomainError("variance profile is not positive over the design")
+        return _linear_mean(betas, cols) + np.sqrt(var) * rng.standard_normal(design.n)
+
+    def null_quadrature(theta, design):
+        s, betas = split(theta)
+        return _normal_nodes(_linear_mean(betas, columns(design)[0]), s, design.n)
+
     return ModelSpec(
-        name="linreg-covariate",
-        param_names=("sigma", "intercept", "slope", "extra-slope"),
-        theta0=(sigma, alpha, beta),
+        name=name,
+        param_names=param_names,
+        theta0=theta0,
         gamma0=(0.0,),
         log_density=log_density,
         score_null=score_null,
         sampler=sampler,
-        default_design=covariate_design,
         null_quadrature=null_quadrature,
         closed_information=closed_information,
-        narrow_fit_exact=_line_fit,
-        wide_fit_exact=wide_fit_exact,
-        estimand_factories={"mean-at": mean_at},
-        default_estimand="mean-at",
+        **fields,
     )
 
 
@@ -759,44 +810,9 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
     Wide variance sigma^2 * (1 + gamma * x); theta = (sigma, alpha, beta).
     """
 
-    def variances(design, theta, gamma):
-        return float(theta[0]) ** 2 * (1.0 + gamma[0] * design.column(0))
-
-    def log_density(y, design, theta, gamma):
-        s, x = _col(theta, 0), design.column(0)
-        var = _square(s) * (1.0 + _col(gamma, 0) * x)
-        m = _col(theta, 1) + _col(theta, 2) * x
-        r2 = (np.asarray(y, dtype=float) - m) ** 2
-        return _on_support(lambda: -0.5 * (np.log(2.0 * math.pi * var) + r2 / var), s, var)
-
-    def score_null(y, design, theta):
-        s = float(theta[0])
+    def columns(design):
         x = design.column(0)
-        z = (np.asarray(y, dtype=float) - theta[1] - theta[2] * x) / s
-        u = np.column_stack([(z * z - 1.0) / s, z / s, x * z / s])
-        v = (0.5 * x * (z * z - 1.0))[:, None]
-        return u, v
-
-    def closed_information(theta, design):
-        s = float(theta[0])
-        x = design.column(0)
-        mx, mxx = float(np.mean(x)), float(np.mean(x * x))
-        j11 = np.array([[2.0 / s**2, 0.0, 0.0],
-                        [0.0, 1.0 / s**2, mx / s**2],
-                        [0.0, mx / s**2, mxx / s**2]])
-        j12 = np.array([[mx / s], [0.0], [0.0]])
-        j22 = np.array([[mxx / 2.0]])
-        return PartitionedInfo(j11, j12, j22)
-
-    def sampler(theta, gamma, design, rng):
-        var = variances(design, theta, gamma)
-        if np.any(var <= 0.0):
-            raise DomainError("variance profile is not positive over the design")
-        m = theta[1] + theta[2] * design.column(0)
-        return m + np.sqrt(var) * rng.standard_normal(design.n)
-
-    def null_quadrature(theta, design):
-        return _normal_nodes(theta[1] + theta[2] * design.column(0), float(theta[0]))
+        return (1.0, x), x
 
     def sd_at(design, x0=None):
         x0 = float(np.mean(design.column(0)) if x0 is None else x0)
@@ -808,7 +824,7 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
         )
 
     def mean_at(design, x0=None):
-        x0 = float(max(design.column(0)) if x0 is None else x0)
+        x0 = _x0_or_max(design, x0)
         return Estimand(
             f"mean-at(x0={x0:g})",
             lambda th, g: th[1] + th[2] * x0,
@@ -816,375 +832,17 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
             lambda th, g: [0.0],
         )
 
-    return ModelSpec(
-        name="varhet-regression",
-        param_names=("sigma", "intercept", "slope", "var-slope"),
-        theta0=(sigma, alpha, beta),
-        gamma0=(0.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
+    return _variance_departure(
+        "varhet-regression",
+        ("sigma", "intercept", "slope", "var-slope"),
+        (sigma, alpha, beta),
+        columns,
+        0,
         default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        narrow_fit_exact=_line_fit,
+        narrow_fit_exact=lambda y, design: _least_squares(y, columns(design)[0]),
         estimand_factories={"sd-at": sd_at, "mean-at": mean_at},
         default_estimand="sd-at",
     )
-
-
-# ---------------------------------------------------------------------------
-# power-transformed normal families
-
-
-def transformation_constants():
-    """The two cross-information constants of the transformed-normal model.
-
-    Returns (a, b) with a = E[N log Phi(N)] and b = E[1 + N^2 log Phi(N)]
-    for a standard normal N, computed by Gauss-Hermite quadrature.
-    """
-    z, w = shifted_normal_nodes(0.0)
-    logphi = special.log_ndtr(z)
-    a = float(w @ (z * logphi))
-    b = float(w @ (1.0 + z * z * logphi))
-    return a, b
-
-
-@dataclass(frozen=True)
-class NoiseSummaries:
-    median_shift: float
-    iqr_scale: float
-    mean_shift: float
-    sd_scale: float
-
-
-def reparameterised_noise_summaries(power: float) -> NoiseSummaries:
-    """Location/scale summaries of the tilted noise density power*Phi^(power-1)*phi.
-
-    The median and quartiles are closed-form quantile transforms; the mean
-    and standard deviation come from panel quadrature of the density.
-    Raises DomainError for power <= 0.
-    """
-    lam = float(power)
-    if lam <= 0.0:
-        raise DomainError("the tilt power must be positive")
-    median = float(std_normal_quantile(0.5 ** (1.0 / lam)))
-    iqr = float(
-        std_normal_quantile(0.75 ** (1.0 / lam)) - std_normal_quantile(0.25 ** (1.0 / lam))
-    )
-    lo = -math.sqrt(83.0 / min(lam, 1.0) + 25.0)
-    hi = 10.0 + math.sqrt(max(math.log(max(lam, 1.0)), 0.0))
-    gx, gw = _legendre_rule(160)
-    edges = np.linspace(lo, hi, 9)
-    m1 = m2 = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        z = mid + half * gx
-        dens = lam * np.exp((lam - 1.0) * special.log_ndtr(z)) * std_normal_pdf(z)
-        m1 += float(half * (gw * dens) @ z)
-        m2 += float(half * (gw * dens) @ (z * z))
-    sd = math.sqrt(max(m2 - m1 * m1, 0.0))
-    return NoiseSummaries(median, iqr, m1, sd)
-
-
-def _transform_log_density(y, means, sigma, lam):
-    def value():
-        z = (np.asarray(y, dtype=float) - means) / sigma
-        return (
-            _log(lam)
-            + (lam - 1.0) * special.log_ndtr(z)
-            - 0.5 * z * z
-            - 0.5 * math.log(2.0 * math.pi)
-            - _log(sigma)
-        )
-
-    return _on_support(value, sigma, lam)
-
-
-def _transform_sampler(means, sigma, lam, n, rng):
-    u = rng.random(n)
-    z = std_normal_quantile(u ** (1.0 / lam))
-    return means + sigma * np.asarray(z)
-
-
-def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
-    """Constant-mean normal model against the CDF-power transformation.
-
-    Wide density (power)*Phi(z)^(power-1)*phi(z)/sigma with z = (y-xi)/sigma;
-    power has null value 1. theta = (sigma, xi).
-    """
-
-    def log_density(y, design, theta, gamma):
-        return _transform_log_density(y, _col(theta, 1), _col(theta, 0), _col(gamma, 0))
-
-    def score_null(y, design, theta):
-        s = float(theta[0])
-        z = (np.asarray(y, dtype=float) - theta[1]) / s
-        u = np.column_stack([(z * z - 1.0) / s, z / s])
-        v = (1.0 + special.log_ndtr(z))[:, None]
-        return u, v
-
-    def closed_information(theta, design):
-        s = float(theta[0])
-        a, b = transformation_constants()
-        j11 = np.array([[2.0 / s**2, 0.0], [0.0, 1.0 / s**2]])
-        j12 = np.array([[b / s], [a / s]])
-        j22 = np.array([[1.0]])
-        return PartitionedInfo(j11, j12, j22)
-
-    def sampler(theta, gamma, design, rng):
-        return _transform_sampler(theta[1], float(theta[0]), float(gamma[0]), design.n, rng)
-
-    def null_quadrature(theta, design):
-        z, wt = shifted_normal_nodes(0.0)
-        return _broadcast_nodes(design, theta[1] + float(theta[0]) * z, wt)
-
-    def narrow_fit_exact(y, design):
-        y = np.asarray(y, dtype=float)
-        mean = np.mean(y, axis=-1, keepdims=True)
-        sd = np.sqrt(np.mean((y - mean) ** 2, axis=-1, keepdims=True))
-        return np.concatenate([sd, mean], axis=-1)
-
-    def median_est(design):
-        def value(th, g):
-            return th[1] + th[0] * float(std_normal_quantile(0.5 ** (1.0 / g[0])))
-
-        def grad_theta(th, g):
-            return [float(std_normal_quantile(0.5 ** (1.0 / g[0]))), 1.0]
-
-        def grad_gamma(th, g):
-            u = 0.5 ** (1.0 / g[0])
-            q = float(std_normal_quantile(u))
-            du = u * math.log(2.0) / g[0] ** 2
-            return [th[0] * du / float(std_normal_pdf(q))]
-
-        return Estimand("median", value, grad_theta, grad_gamma)
-
-    return ModelSpec(
-        name="transform-constant",
-        param_names=("sigma", "location", "power"),
-        theta0=(sigma, xi),
-        gamma0=(1.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
-        default_design=lambda n, **kw: Design(int(n)),
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        narrow_fit_exact=narrow_fit_exact,
-        estimand_factories={"median": median_est},
-        default_estimand="median",
-    )
-
-
-def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
-    """Centered no-intercept regression against the CDF-power transformation."""
-
-    def log_density(y, design, theta, gamma):
-        return _transform_log_density(
-            y, _col(theta, 1) * _centered(design), _col(theta, 0), _col(gamma, 0)
-        )
-
-    def score_null(y, design, theta):
-        s = float(theta[0])
-        t = _centered(design)
-        z = (np.asarray(y, dtype=float) - theta[1] * t) / s
-        u = np.column_stack([(z * z - 1.0) / s, t * z / s])
-        v = (1.0 + special.log_ndtr(z))[:, None]
-        return u, v
-
-    def closed_information(theta, design):
-        s = float(theta[0])
-        t = _centered(design)
-        a, b = transformation_constants()
-        j11 = np.array([[2.0 / s**2, 0.0], [0.0, float(np.mean(t * t)) / s**2]])
-        j12 = np.array([[b / s], [a * float(np.mean(t)) / s]])
-        j22 = np.array([[1.0]])
-        return PartitionedInfo(j11, j12, j22)
-
-    def sampler(theta, gamma, design, rng):
-        return _transform_sampler(
-            theta[1] * _centered(design), float(theta[0]), float(gamma[0]), design.n, rng
-        )
-
-    def null_quadrature(theta, design):
-        return _normal_nodes(theta[1] * _centered(design), float(theta[0]))
-
-    def median_at(design, x0=None):
-        x = design.column(0)
-        t0 = float((max(x) if x0 is None else float(x0)) - np.mean(x))
-
-        def value(th, g):
-            return th[1] * t0 + th[0] * float(std_normal_quantile(0.5 ** (1.0 / g[0])))
-
-        return Estimand(f"median-at(x0={x0 if x0 is not None else 'max'})", value)
-
-    return ModelSpec(
-        name="transform-regression",
-        param_names=("sigma", "slope", "power"),
-        theta0=(sigma, beta),
-        gamma0=(1.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
-        default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        narrow_fit_exact=_centered_slope_fit,
-        estimand_factories={"median-at": median_at},
-        default_estimand="median-at",
-    )
-
-
-# ---------------------------------------------------------------------------
-# logistic families
-
-
-def _check_binary(y, design=None):
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise DomainError("empty observations")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DomainError("binary-response models need observations in {0, 1}")
-
-
-def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
-    """Logistic regression in a centered covariate; departure = quadratic term."""
-
-    def probs(design, theta, gamma):
-        t = _centered(design)
-        return special.expit(theta[0] + theta[1] * t + gamma[0] * t * t)
-
-    def log_density(y, design, theta, gamma):
-        p = probs(design, theta, gamma)
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(y == 1.0, np.log(p), np.log1p(-p))
-
-    def score_null(y, design, theta):
-        t = _centered(design)
-        p = special.expit(theta[0] + theta[1] * t)
-        e = np.asarray(y, dtype=float) - p
-        return np.column_stack([e, e * t]), (e * t * t)[:, None]
-
-    def closed_information(theta, design):
-        t = _centered(design)
-        p = special.expit(theta[0] + theta[1] * t)
-        w = p * (1.0 - p)
-        cols = np.column_stack([np.ones_like(t), t, t * t])
-        full = (cols * w[:, None]).T @ cols / design.n
-        return PartitionedInfo.from_full(full, 2)
-
-    def sampler(theta, gamma, design, rng):
-        return (rng.random(design.n) < probs(design, theta, gamma)).astype(float)
-
-    def null_quadrature(theta, design):
-        t = _centered(design)
-        p = special.expit(theta[0] + theta[1] * t)
-        ymat = np.broadcast_to(np.array([0.0, 1.0]), (design.n, 2))
-        return ymat, np.column_stack([1.0 - p, p])
-
-    def prob_at(design, x0=None):
-        x = design.column(0)
-        t0 = float((max(x) if x0 is None else float(x0)) - np.mean(x))
-        return Estimand(
-            f"prob-at(x0={x0 if x0 is not None else 'max'})",
-            lambda th, g: float(special.expit(th[0] + th[1] * t0 + g[0] * t0 * t0)),
-        )
-
-    return ModelSpec(
-        name="logistic-quadratic",
-        param_names=("intercept", "slope", "curvature"),
-        theta0=(alpha, beta),
-        gamma0=(0.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
-        default_design=lambda n, b=4.0, **kw: uniform_grid_design(int(n), float(b)),
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        data_check=_check_binary,
-        estimand_factories={"prob-at": prob_at},
-        default_estimand="prob-at",
-    )
-
-
-def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
-    """Logistic regression against the success-probability power family.
-
-    Wide success probability expit(alpha + beta*x)^eta with eta null 1;
-    at eta = 1 this is exactly the plain logistic model.
-    """
-
-    def probs(design, theta, gamma):
-        base = special.expit(theta[0] + theta[1] * design.column(0))
-        return base ** float(gamma[0])
-
-    def log_density(y, design, theta, gamma):
-        if float(gamma[0]) <= 0.0:
-            return np.full(np.shape(y), -np.inf)
-        p = probs(design, theta, gamma)
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(y == 1.0, np.log(p), np.log1p(-p))
-
-    def score_null(y, design, theta):
-        x = design.column(0)
-        p = special.expit(theta[0] + theta[1] * x)
-        e = np.asarray(y, dtype=float) - p
-        u = np.column_stack([e, e * x])
-        v = (e * np.log(p) / (1.0 - p))[:, None]
-        return u, v
-
-    def closed_information(theta, design):
-        x = design.column(0)
-        p = special.expit(theta[0] + theta[1] * x)
-        logp = np.log(p)
-        w = p * (1.0 - p)
-        j11 = np.array(
-            [
-                [float(np.mean(w)), float(np.mean(w * x))],
-                [float(np.mean(w * x)), float(np.mean(w * x * x))],
-            ]
-        )
-        j12 = np.array([[float(np.mean(p * logp))], [float(np.mean(p * logp * x))]])
-        j22 = np.array([[float(np.mean(p * logp**2 / (1.0 - p)))]])
-        return PartitionedInfo(j11, j12, j22)
-
-    def sampler(theta, gamma, design, rng):
-        return (rng.random(design.n) < probs(design, theta, gamma)).astype(float)
-
-    def null_quadrature(theta, design):
-        p = special.expit(theta[0] + theta[1] * design.column(0))
-        ymat = np.broadcast_to(np.array([0.0, 1.0]), (design.n, 2))
-        return ymat, np.column_stack([1.0 - p, p])
-
-    def prob_at(design, x0=None):
-        x0 = float(max(design.column(0)) if x0 is None else x0)
-        return Estimand(
-            f"prob-at(x0={x0:g})",
-            lambda th, g: float(special.expit(th[0] + th[1] * x0) ** g[0]),
-        )
-
-    return ModelSpec(
-        name="logistic-eta",
-        param_names=("intercept", "slope", "power"),
-        theta0=(alpha, beta),
-        gamma0=(1.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
-        default_design=lambda n, b=2.0, **kw: uniform_grid_design(int(n), float(b)),
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        data_check=_check_binary,
-        estimand_factories={"prob-at": prob_at},
-        default_estimand="prob-at",
-    )
-
-
-# ---------------------------------------------------------------------------
-# two-sample family
 
 
 def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelSpec:
@@ -1195,55 +853,9 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
     sigma^2*(1+gamma); theta = (xi1, xi2, sigma).
     """
 
-    def group_stats(design):
-        g = design.column(0)
-        return g, float(np.mean(g))
-
-    def means_sds(design, theta, gamma):
-        g = design.column(0)
-        m = np.where(g > 0.5, theta[1], theta[0])
-        var = float(theta[2]) ** 2 * (1.0 + float(gamma[0]) * g)
-        return m, var
-
-    def log_density(y, design, theta, gamma):
-        s, g1 = _col(theta, 2), _col(gamma, 0)
-        grp = design.column(0)
-
-        def value():
-            m = np.where(grp > 0.5, _col(theta, 1), _col(theta, 0))
-            var = _square(s) * (1.0 + g1 * grp)
-            r2 = (np.asarray(y, dtype=float) - m) ** 2
-            return -0.5 * (np.log(2.0 * math.pi * var) + r2 / var)
-
-        return _on_support(value, s, 1.0 + g1)
-
-    def score_null(y, design, theta):
-        g = design.column(0)
-        s = float(theta[2])
-        m = np.where(g > 0.5, theta[1], theta[0])
-        z = (np.asarray(y, dtype=float) - m) / s
-        u = np.column_stack([(1.0 - g) * z / s, g * z / s, (z * z - 1.0) / s])
-        v = (0.5 * g * (z * z - 1.0))[:, None]
-        return u, v
-
-    def closed_information(theta, design):
-        _, r1 = group_stats(design)  # fraction in the second group
-        s = float(theta[2])
-        r = 1.0 - r1
-        j11 = np.diag([r / s**2, r1 / s**2, 2.0 / s**2])
-        j12 = np.array([[0.0], [0.0], [r1 / s]])
-        j22 = np.array([[r1 / 2.0]])
-        return PartitionedInfo(j11, j12, j22)
-
-    def sampler(theta, gamma, design, rng):
-        m, var = means_sds(design, theta, gamma)
-        if np.any(var <= 0.0):
-            raise DomainError("second-group variance must stay positive")
-        return m + np.sqrt(var) * rng.standard_normal(design.n)
-
-    def null_quadrature(theta, design):
-        m = np.where(design.column(0) > 0.5, theta[1], theta[0])
-        return _normal_nodes(m, float(theta[2]))
+    def columns(design):
+        second = (design.column(0) > 0.5).astype(float)
+        return (1.0 - second, second), second
 
     def group_means(y, design):
         y = np.asarray(y, dtype=float)
@@ -1305,21 +917,334 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
         groups = np.concatenate([np.zeros(m), np.ones(n)])
         return Design(m + n, groups[:, None])
 
-    return ModelSpec(
-        name="two-sample",
-        param_names=("mean1", "mean2", "sigma", "var-ratio-minus-1"),
-        theta0=(xi1, xi2, sigma),
-        gamma0=(0.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
+    return _variance_departure(
+        "two-sample",
+        ("mean1", "mean2", "sigma", "var-ratio-minus-1"),
+        (xi1, xi2, sigma),
+        columns,
+        2,
         default_design=ts_design,
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
         narrow_fit_exact=narrow_fit_exact,
         wide_fit_exact=wide_fit_exact,
         estimand_factories={"mean-diff": mean_diff, "std-diff": std_diff},
         default_estimand="std-diff",
+    )
+
+
+# ---------------------------------------------------------------------------
+# normal errors with a CDF-power departure
+
+
+def transformation_constants():
+    """The two cross-information constants of the transformed-normal model.
+
+    Returns (a, b) with a = E[N log Phi(N)] and b = E[1 + N^2 log Phi(N)]
+    for a standard normal N, computed by Gauss-Hermite quadrature.
+    """
+    z, w = shifted_normal_nodes(0.0)
+    logphi = special.log_ndtr(z)
+    a = float(w @ (z * logphi))
+    b = float(w @ (1.0 + z * z * logphi))
+    return a, b
+
+
+@dataclass(frozen=True)
+class NoiseSummaries:
+    median_shift: float
+    iqr_scale: float
+    mean_shift: float
+    sd_scale: float
+
+
+def reparameterised_noise_summaries(power: float) -> NoiseSummaries:
+    """Location/scale summaries of the tilted noise density power*Phi^(power-1)*phi.
+
+    The median and quartiles are closed-form quantile transforms; the mean
+    and standard deviation come from panel quadrature of the density.
+    Raises DomainError for power <= 0.
+    """
+    lam = float(power)
+    if lam <= 0.0:
+        raise DomainError("the tilt power must be positive")
+    median = float(std_normal_quantile(0.5 ** (1.0 / lam)))
+    iqr = float(
+        std_normal_quantile(0.75 ** (1.0 / lam)) - std_normal_quantile(0.25 ** (1.0 / lam))
+    )
+    lo = -math.sqrt(83.0 / min(lam, 1.0) + 25.0)
+    hi = 10.0 + math.sqrt(max(math.log(max(lam, 1.0)), 0.0))
+    gx, gw = _legendre_rule(160)
+    edges = np.linspace(lo, hi, 9)
+    m1 = m2 = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        z = mid + half * gx
+        dens = lam * np.exp((lam - 1.0) * special.log_ndtr(z)) * std_normal_pdf(z)
+        m1 += float(half * (gw * dens) @ z)
+        m2 += float(half * (gw * dens) @ (z * z))
+    sd = math.sqrt(max(m2 - m1 * m1, 0.0))
+    return NoiseSummaries(median, iqr, m1, sd)
+
+
+def _cdf_power(name: str, param_names, theta0, column, **fields) -> ModelSpec:
+    """Normal errors about beta*c against the CDF-power transformation.
+
+    Wide density power*Phi(z)^(power-1)*phi(z)/sigma with z = (y - beta*c)/sigma;
+    power has null value 1. theta = (sigma, beta); column(design) -> c, an
+    (n,) array or the float 1.0. The narrow fit is the model's own.
+    """
+
+    def log_density(y, design, theta, gamma):
+        (s, beta), (lam,) = _cols(theta), _cols(gamma)
+        means = beta * column(design)
+
+        def value():
+            z = (np.asarray(y, dtype=float) - means) / s
+            return (
+                _log(lam)
+                + (lam - 1.0) * special.log_ndtr(z)
+                - 0.5 * z * z
+                - 0.5 * math.log(2.0 * math.pi)
+                - _log(s)
+            )
+
+        return _on_support(value, s, lam)
+
+    def score_null(y, design, theta):
+        c, s = column(design), float(theta[0])
+        z = (np.asarray(y, dtype=float) - theta[1] * c) / s
+        u = np.column_stack([(z * z - 1.0) / s, c * z / s])
+        return u, (1.0 + special.log_ndtr(z))[:, None]
+
+    def closed_information(theta, design):
+        c, s = column(design), float(theta[0])
+        a, b = transformation_constants()
+        j11 = np.array([[2.0 / s**2, 0.0], [0.0, float(np.mean(c * c)) / s**2]])
+        j12 = np.array([[b / s], [a * float(np.mean(c)) / s]])
+        return PartitionedInfo(j11, j12, np.array([[1.0]]))
+
+    def sampler(theta, gamma, design, rng):
+        z = std_normal_quantile(rng.random(design.n) ** (1.0 / float(gamma[0])))
+        return theta[1] * column(design) + float(theta[0]) * np.asarray(z)
+
+    def null_quadrature(theta, design):
+        return _normal_nodes(theta[1] * column(design), float(theta[0]), design.n)
+
+    return ModelSpec(
+        name=name,
+        param_names=param_names,
+        theta0=theta0,
+        gamma0=(1.0,),
+        log_density=log_density,
+        score_null=score_null,
+        sampler=sampler,
+        null_quadrature=null_quadrature,
+        closed_information=closed_information,
+        **fields,
+    )
+
+
+def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
+    """Constant-mean normal model against the CDF-power transformation.
+
+    Wide density (power)*Phi(z)^(power-1)*phi(z)/sigma with z = (y-xi)/sigma;
+    power has null value 1. theta = (sigma, xi).
+    """
+
+    def narrow_fit_exact(y, design):
+        y = np.asarray(y, dtype=float)
+        mean = np.mean(y, axis=-1, keepdims=True)
+        sd = np.sqrt(np.mean((y - mean) ** 2, axis=-1, keepdims=True))
+        return np.concatenate([sd, mean], axis=-1)
+
+    def median_est(design):
+        def value(th, g):
+            return th[1] + th[0] * float(std_normal_quantile(0.5 ** (1.0 / g[0])))
+
+        def grad_theta(th, g):
+            return [float(std_normal_quantile(0.5 ** (1.0 / g[0]))), 1.0]
+
+        def grad_gamma(th, g):
+            u = 0.5 ** (1.0 / g[0])
+            q = float(std_normal_quantile(u))
+            du = u * math.log(2.0) / g[0] ** 2
+            return [th[0] * du / float(std_normal_pdf(q))]
+
+        return Estimand("median", value, grad_theta, grad_gamma)
+
+    return _cdf_power(
+        "transform-constant",
+        ("sigma", "location", "power"),
+        (sigma, xi),
+        lambda design: 1.0,
+        default_design=_iid_design,
+        narrow_fit_exact=narrow_fit_exact,
+        estimand_factories={"median": median_est},
+        default_estimand="median",
+    )
+
+
+def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
+    """Centered no-intercept regression against the CDF-power transformation."""
+
+    def median_at(design, x0=None):
+        t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
+
+        def value(th, g):
+            return th[1] * t0 + th[0] * float(std_normal_quantile(0.5 ** (1.0 / g[0])))
+
+        return Estimand(f"median-at(x0={x0 if x0 is not None else 'max'})", value)
+
+    return _cdf_power(
+        "transform-regression",
+        ("sigma", "slope", "power"),
+        (sigma, beta),
+        _centered,
+        default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
+        narrow_fit_exact=lambda y, design: _least_squares(y, (_centered(design),)),
+        estimand_factories={"median-at": median_at},
+        default_estimand="median-at",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli responses
+
+
+def _check_binary(y, design=None):
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise DomainError("empty observations")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise DomainError("binary-response models need observations in {0, 1}")
+
+
+def _bernoulli_log_density(y, p):
+    """log p where y is 1 and log(1 - p) elsewhere; -inf at saturation."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(y == 1.0, np.log(p), np.log1p(-p))
+
+
+def _bernoulli_nodes(p):
+    """Null quadrature of binary responses with success probabilities p (n,)."""
+    return np.broadcast_to(np.array([0.0, 1.0]), (p.size, 2)), np.column_stack([1.0 - p, p])
+
+
+def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
+    """Logistic regression in a centered covariate; departure = quadratic term."""
+
+    def probs(design, theta, gamma):
+        t = _centered(design)
+        return special.expit(theta[0] + theta[1] * t + gamma[0] * t * t)
+
+    def null_probs(design, theta):
+        return special.expit(theta[0] + theta[1] * _centered(design))
+
+    def score_null(y, design, theta):
+        t = _centered(design)
+        e = np.asarray(y, dtype=float) - null_probs(design, theta)
+        return np.column_stack([e, e * t]), (e * t * t)[:, None]
+
+    def closed_information(theta, design):
+        t = _centered(design)
+        p = null_probs(design, theta)
+        w = p * (1.0 - p)
+        cols = np.column_stack([np.ones_like(t), t, t * t])
+        full = (cols * w[:, None]).T @ cols / design.n
+        return PartitionedInfo.from_full(full, 2)
+
+    def prob_at(design, x0=None):
+        t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
+        return Estimand(
+            f"prob-at(x0={x0 if x0 is not None else 'max'})",
+            lambda th, g: float(special.expit(th[0] + th[1] * t0 + g[0] * t0 * t0)),
+        )
+
+    return ModelSpec(
+        name="logistic-quadratic",
+        param_names=("intercept", "slope", "curvature"),
+        theta0=(alpha, beta),
+        gamma0=(0.0,),
+        log_density=lambda y, design, theta, gamma: _bernoulli_log_density(
+            y, probs(design, theta, gamma)
+        ),
+        score_null=score_null,
+        sampler=lambda theta, gamma, design, rng: (
+            rng.random(design.n) < probs(design, theta, gamma)
+        ).astype(float),
+        default_design=lambda n, b=4.0, **kw: uniform_grid_design(int(n), float(b)),
+        null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
+        closed_information=closed_information,
+        data_check=_check_binary,
+        estimand_factories={"prob-at": prob_at},
+        default_estimand="prob-at",
+    )
+
+
+def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
+    """Logistic regression against the success-probability power family.
+
+    Wide success probability expit(alpha + beta*x)^eta with eta null 1;
+    at eta = 1 this is exactly the plain logistic model.
+    """
+
+    def null_probs(design, theta):
+        return special.expit(theta[0] + theta[1] * design.column(0))
+
+    def probs(design, theta, gamma):
+        return null_probs(design, theta) ** float(gamma[0])
+
+    def log_density(y, design, theta, gamma):
+        if float(gamma[0]) <= 0.0:
+            return np.full(np.shape(y), -np.inf)
+        return _bernoulli_log_density(y, probs(design, theta, gamma))
+
+    def score_null(y, design, theta):
+        x = design.column(0)
+        p = null_probs(design, theta)
+        e = np.asarray(y, dtype=float) - p
+        u = np.column_stack([e, e * x])
+        v = (e * np.log(p) / (1.0 - p))[:, None]
+        return u, v
+
+    def closed_information(theta, design):
+        x = design.column(0)
+        p = null_probs(design, theta)
+        logp = np.log(p)
+        w = p * (1.0 - p)
+        j11 = np.array(
+            [
+                [float(np.mean(w)), float(np.mean(w * x))],
+                [float(np.mean(w * x)), float(np.mean(w * x * x))],
+            ]
+        )
+        j12 = np.array([[float(np.mean(p * logp))], [float(np.mean(p * logp * x))]])
+        j22 = np.array([[float(np.mean(p * logp**2 / (1.0 - p)))]])
+        return PartitionedInfo(j11, j12, j22)
+
+    def prob_at(design, x0=None):
+        x0 = _x0_or_max(design, x0)
+        return Estimand(
+            f"prob-at(x0={x0:g})",
+            lambda th, g: float(special.expit(th[0] + th[1] * x0) ** g[0]),
+        )
+
+    return ModelSpec(
+        name="logistic-eta",
+        param_names=("intercept", "slope", "power"),
+        theta0=(alpha, beta),
+        gamma0=(1.0,),
+        log_density=log_density,
+        score_null=score_null,
+        sampler=lambda theta, gamma, design, rng: (
+            rng.random(design.n) < probs(design, theta, gamma)
+        ).astype(float),
+        default_design=lambda n, b=2.0, **kw: uniform_grid_design(int(n), float(b)),
+        null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
+        closed_information=closed_information,
+        data_check=_check_binary,
+        estimand_factories={"prob-at": prob_at},
+        default_estimand="prob-at",
     )
 
 

@@ -492,6 +492,20 @@ class TestFitting:
             with pytest.raises(FitError, match="above tolerance; the sample looks degenerate"):
                 fit(model, y, design)
 
+    @pytest.mark.parametrize("fit", [fit_narrow, fit_wide])
+    @pytest.mark.parametrize("c", [3.0, 0.1, 1.234567, 2.0 / 3.0])
+    @pytest.mark.parametrize("name", ["transform-constant", "two-sample"])
+    def test_exactly_constant_sample_is_named_degenerate(self, name, c, fit):
+        model = get_model(name)
+        design = model.default_design(40)
+        # 40 copies of c average to c exactly, so the fitted scale is 0
+        y = np.full(design.n, c)
+        with pytest.raises(
+            FitError,
+            match="lands outside the likelihood support; the sample looks degenerate",
+        ):
+            fit(model, y, design)
+
     def test_empty_sample(self):
         model = get_model("weibull-vs-exp")
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from mistol.models import (
     Design,
@@ -242,6 +243,97 @@ class TestLogisticSaturation:
             assert model.loglik(ones, design, np.array([800.0, 0.0]), gamma) == 0.0
             assert model.loglik(zeros, design, np.array([-800.0, 0.0]), gamma) == 0.0
             assert model.loglik(zeros, design, np.array([800.0, 0.0]), gamma) == -math.inf
+
+
+
+def _centred(x):
+    return x - float(np.mean(x))
+
+
+def _pinned_log_density(name, y, x, th, g):
+    """The log density of a Newton-fitted built-in, written out with scalar
+    parameters as the benchmark references were recorded with it."""
+    if name == "gamma-vs-exp":
+        return g * math.log(th[0]) - special.gammaln(g) + (g - 1.0) * np.log(y) - th[0] * y
+    if name == "varhet-regression":
+        var = th[0] ** 2 * (1.0 + g * x)
+        r2 = (y - (th[1] + th[2] * x)) ** 2
+        return -0.5 * (np.log(2.0 * math.pi * var) + r2 / var)
+    if name in ("transform-constant", "transform-regression"):
+        means = th[1] if x is None else th[1] * _centred(x)
+        z = (y - means) / th[0]
+        return (
+            math.log(g) + (g - 1.0) * special.log_ndtr(z) - 0.5 * z * z
+            - 0.5 * math.log(2.0 * math.pi) - math.log(th[0])
+        )
+    p = _pinned_probs(name, x, th, g)
+    with np.errstate(divide="ignore"):
+        return np.where(y == 1.0, np.log(p), np.log1p(-p))
+
+
+def _pinned_probs(name, x, th, g):
+    if name == "logistic-quadratic":
+        t = _centred(x)
+        return special.expit(th[0] + th[1] * t + g * t * t)
+    return special.expit(th[0] + th[1] * x) ** g
+
+
+def _pinned_sample(name, x, th, g, n, rng):
+    if name == "gamma-vs-exp":
+        return rng.gamma(g, 1.0 / th[0], n)
+    if name == "varhet-regression":
+        var = th[0] ** 2 * (1.0 + g * x)
+        return th[1] + th[2] * x + np.sqrt(var) * rng.standard_normal(n)
+    if name in ("transform-constant", "transform-regression"):
+        means = th[1] if x is None else th[1] * _centred(x)
+        return means + th[0] * special.ndtri(rng.random(n) ** (1.0 / g))
+    return (rng.random(n) < _pinned_probs(name, x, th, g)).astype(float)
+
+
+class TestNewtonPathArithmetic:
+    """The mc-catalogue references pin Newton line-search stalls that stop
+    within 1-1.6 times their gradient bar, so the last bit of these models'
+    log densities and samplers decides a study's failure count. Each is
+    checked bit for bit against its expression written out here."""
+
+    NEWTON_MODELS = (
+        "gamma-vs-exp", "varhet-regression", "transform-constant",
+        "transform-regression", "logistic-quadratic", "logistic-eta",
+    )
+
+    @staticmethod
+    def points(model):
+        theta0 = np.asarray(model.theta0, dtype=float)
+        gamma0 = float(model.gamma0[0])
+        return [
+            (theta0, gamma0),
+            (1.2 * theta0 + 0.1, gamma0 + 0.3),
+            (0.8 * theta0 - 0.1, gamma0 - 0.2),
+        ]
+
+    @pytest.mark.parametrize("name", NEWTON_MODELS)
+    def test_log_density_bits(self, name):
+        model = get_model(name)
+        design = model.default_design(200)
+        x = None if design.rows is None else design.column(0)
+        theta0, gamma0 = self.points(model)[0]
+        y = model.sampler(theta0, np.array([gamma0]), design, replication_rng(21, 0))
+        for theta, gamma in self.points(model):
+            got = model.log_density(y, design, theta, np.array([gamma]))
+            want = _pinned_log_density(name, y, x, [float(v) for v in theta], gamma)
+            assert np.array_equal(got, want), (name, theta, gamma)
+
+    @pytest.mark.parametrize("name", NEWTON_MODELS)
+    def test_sampler_bits(self, name):
+        model = get_model(name)
+        design = model.default_design(200)
+        x = None if design.rows is None else design.column(0)
+        for k, (theta, gamma) in enumerate(self.points(model)):
+            got = model.sampler(theta, np.array([gamma]), design, replication_rng(21, k))
+            want = _pinned_sample(
+                name, x, [float(v) for v in theta], gamma, design.n, replication_rng(21, k)
+            )
+            assert np.array_equal(got, want), (name, theta, gamma)
 
 
 class TestEstimandGradients:
