@@ -133,10 +133,14 @@ def _parse_estimators(specs) -> list:
     return out
 
 
-def _write_csv(fh, header, matrix):
-    fh.write(",".join(header) + "\n")
-    for row in matrix:
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def _design_factory(model, m, flag: str):
+    """n -> the model's default design on n observations, with a first group
+    of m if m is not None; only the two-sample model has one."""
+    if m is None:
+        return model.default_design
+    if model.name != "two-sample":
+        raise UsageError(f"{flag} sets the first group size of the two-sample model only")
+    return lambda n: model.default_design(n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +149,7 @@ def _write_csv(fh, header, matrix):
 
 def cmd_tolerance(ns) -> int:
     model = _model_from_args(ns)
-    if ns.m is not None and model.name != "two-sample":
-        raise UsageError("--m sets the first group size of the two-sample model only")
-    if model.name == "two-sample":
-        design = model.default_design(ns.n, m=ns.m)
-    else:
-        design = model.default_design(ns.n)
+    design = _design_factory(model, ns.m, "--m")(ns.n)
     report = tolerance.tolerance_report(model, design)
     lines = list(report.lines())
     if ns.estimand is not None:
@@ -167,10 +166,7 @@ def cmd_tolerance(ns) -> int:
         print(line)
     if ns.out:
         with open(ns.out, "w", newline="") as fh:
-            fh.write("key,value\n")
-            for line in lines:
-                key, _, value = line.partition(": ")
-                fh.write(f"{key},{value}\n")
+            risk.write_csv(fh, ("key", "value"), (line.partition(": ")[::2] for line in lines))
     return EXIT_OK
 
 
@@ -200,9 +196,9 @@ def cmd_risk(ns) -> int:
     header, matrix = risk.risk_table(ests, grid, loss=loss, rho=rho)
     if ns.out:
         with open(ns.out, "w", newline="") as fh:
-            _write_csv(fh, header, matrix)
+            risk.write_csv(fh, header, matrix)
     else:
-        _write_csv(sys.stdout, header, matrix)
+        risk.write_csv(sys.stdout, header, matrix)
     return EXIT_OK
 
 
@@ -330,6 +326,7 @@ def _study_config_from_file(ns) -> tuple:
         problems.append(f"kind must be mse, kappa or coverage, got {kind!r}")
     model_section = parser["model"] if "model" in parser else {}
     model_name = model_section.get("family", section.get("model", ""))
+    model = None
     if not model_name:
         problems.append("a model name is required ([study] model= or [model] family=)")
     else:
@@ -337,13 +334,19 @@ def _study_config_from_file(ns) -> tuple:
             model = _build_model(model_name, model_section)
         except UsageError as exc:
             problems.append(str(exc))
-    seed_text = section.get("seed", "")
-    seed = ns.seed
-    if seed is None and seed_text:
+
+    def number(key, cast, fallback):
+        raw = section.get(key, "")
+        if not raw:
+            return fallback
         try:
-            seed = int(seed_text)
+            return cast(raw)
         except ValueError:
-            problems.append(f"seed must be an integer, got {seed_text!r}")
+            what = "an integer" if cast is int else "a number"
+            problems.append(f"{key} must be {what}, got {raw!r}")
+            return fallback
+
+    seed = ns.seed if ns.seed is not None else number("seed", int, None)
     if seed is None:
         problems.append("a seed is required (config seed= or --seed)")
 
@@ -373,44 +376,24 @@ def _study_config_from_file(ns) -> tuple:
             rules.parse_estimator(spec)
         except ValueError as exc:
             problems.append(str(exc))
-    try:
-        replications = int(section.get("replications", "2000"))
-    except ValueError:
-        problems.append("replications must be an integer")
-        replications = 2000
-    try:
-        level = float(section.get("level", "0.90"))
-    except ValueError:
-        problems.append("level must be a number")
-        level = 0.90
-    workers = ns.workers
-    if workers is None:
-        try:
-            workers = int(section.get("workers", "1"))
-        except ValueError:
-            problems.append("workers must be an integer")
-            workers = 1
+    replications = number("replications", int, 2000)
+    level = number("level", float, 0.90)
+    workers = ns.workers if ns.workers is not None else number("workers", int, 1)
     kappa_method = section.get("kappa_method", "score-cov")
     if kappa_method not in mcstudy.KAPPA_METHODS:
         problems.append(f"unknown kappa_method {kappa_method!r}")
-    first = None
-    if "m" in section:
-        if model_name != "two-sample":
-            problems.append("m sets the first group size of the two-sample model only")
-        else:
-            try:
-                first = int(section["m"])
-            except ValueError:
-                problems.append(f"m must be an integer, got {section['m']!r}")
-            else:
-                if first < 1:
-                    problems.append(f"m must be a positive integer, got {first}")
+    first = number("m", int, None)
+    if first is not None and first < 1:
+        problems.append(f"m must be a positive integer, got {first}")
+    design_factory = None
+    if model is not None:
+        try:
+            design_factory = _design_factory(model, first, "m")
+        except UsageError as exc:
+            problems.append(str(exc))
     if problems:
         raise UsageError("config errors: " + "; ".join(problems))
 
-    design_factory = None
-    if first is not None:
-        design_factory = lambda n: model.default_design(n, m=first)
     try:
         config = mcstudy.StudyConfig(
             model=model,
@@ -436,12 +419,9 @@ def cmd_simulate(ns) -> int:
     if kind == "kappa":
         study = mcstudy.kappa_by_simulation(config)
         path = out + ".csv"
+        header = ("method", "n", "replications", "failures", "kappa", "se")
         with open(path, "w", newline="") as fh:
-            fh.write("method,n,replications,failures,kappa,se\n")
-            fh.write(
-                f"{study.method},{study.n},{study.replications},{study.failures},"
-                f"{study.kappa!r},{study.se!r}\n"
-            )
+            risk.write_csv(fh, header, [[getattr(study, key) for key in header]])
         print(f"kappa ({study.method}, n={study.n}): {study.kappa!r} +/- {study.se!r}")
         print(f"written: {path}")
         return EXIT_OK

@@ -20,9 +20,9 @@ from .numerics import (
     DomainError,
     NumericsError,
     central_gradient,
+    legendre_panels,
     std_normal_mills_ratio,
     std_normal_pdf,
-    _legendre_rule,
 )
 
 
@@ -131,9 +131,7 @@ def qhat_weight(z, eps: float = 0.05):
     previous = None
     nodes = 60
     while nodes <= 1920:
-        gx, gw = _legendre_rule(nodes)
-        u = 0.5 * umax * (gx + 1.0)
-        w = 0.5 * umax * gw
+        u, w = legendre_panels((0.0, umax), nodes)
         t = np.tanh(u)
         kernel = np.exp(-0.5 * np.multiply.outer(z * z, t * t))
         num = kernel @ (w / np.cosh(u) ** 2)
@@ -412,25 +410,28 @@ class Posterior:
 def _prior_nodes(prior):
     if isinstance(prior, AtomPrior):
         return np.asarray(prior.atoms, dtype=float), np.asarray(prior.weights)
-    gx, gw = _legendre_rule(400)
-    mid = (prior.hi + prior.lo) / 2.0
-    half = (prior.hi - prior.lo) / 2.0
-    points = mid + half * gx
-    weights = half * gw * np.asarray(prior.density(points), dtype=float)
+    points, w = legendre_panels((prior.lo, prior.hi), 400)
+    weights = w * np.asarray(prior.density(points), dtype=float)
     if np.any(weights < -1e-12):
         raise ValueError("prior density must be nonnegative")
     return points, np.maximum(weights, 0.0)
 
 
-def _posterior_means(points, prior_weights, z):
-    z_in = np.asarray(z, dtype=float)
-    z = np.atleast_1d(z_in)
+def _joint(points, prior_weights, z):
+    """Joint weights phi(z - point) * prior weight, one row per entry of the
+    1-D array z, and each row's evidence (its sum)."""
     joint = std_normal_pdf(z[:, None] - points[None, :]) * prior_weights[None, :]
     evidence = joint.sum(axis=1)
     if np.any(evidence <= 0.0):
         raise NumericsError(
             "posterior evidence vanished; the prior puts no mass near the data"
         )
+    return joint, evidence
+
+
+def _posterior_means(points, prior_weights, z):
+    z_in = np.asarray(z, dtype=float)
+    joint, evidence = _joint(points, prior_weights, np.atleast_1d(z_in))
     means = (joint @ points) / evidence
     return means if z_in.ndim else float(means[0])
 
@@ -442,13 +443,8 @@ def bayes_posterior(prior, z: float):
     points and normalized weights (atoms and masses for a discrete prior).
     """
     points, prior_weights = _prior_nodes(prior)
-    joint = np.asarray(std_normal_pdf(float(z) - points)) * prior_weights
-    evidence = float(joint.sum())
-    if evidence <= 0.0:
-        raise NumericsError(
-            "posterior evidence vanished; the prior puts no mass near the data"
-        )
-    weights = joint / evidence
+    joint, evidence = _joint(points, prior_weights, np.array([float(z)]))
+    weights = joint[0] / evidence[0]
     mean = float(weights @ points)
     return Posterior(points, weights, mean), mean
 
@@ -584,8 +580,8 @@ def _fd_hessian(f, x):
     return hess
 
 
-def maximize_loglik(f, x0, max_iterations: int = 200):
-    """Safeguarded Newton ascent with step-halving.
+def maximize_loglik(f, x0):
+    """Safeguarded Newton ascent with step-halving, at most 200 steps.
 
     Returns (x, loglik, iterations, grad_norm). Convergence requires the
     gradient norm to fall below 1e-8*(1+|loglik|); failure to do so raises
@@ -596,7 +592,7 @@ def maximize_loglik(f, x0, max_iterations: int = 200):
     if not np.isfinite(loglik):
         raise FitError("starting point lies outside the likelihood support")
     trace = []
-    for iteration in range(max_iterations):
+    for iteration in range(200):
         grad = central_gradient(f, x)
         gnorm = float(np.linalg.norm(grad))
         trace.append((float(loglik), gnorm))

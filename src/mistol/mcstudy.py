@@ -42,7 +42,7 @@ from .numerics import (
     partitioned_inverse,
     replication_rng,
 )
-from .risk import LimitGeometry, ci_coverage, limit_geometry
+from .risk import LimitGeometry, ci_coverage, limit_geometry, write_csv
 
 KAPPA_METHODS = ("score-cov", "full-ml-cov", "gamma-sd")
 
@@ -242,33 +242,22 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
 
     params = np.array(_fit_each(config, gamma0, design, wide_params))
     failures = _checked_failures(config, reps - len(params))
-    reps_kept = params.shape[0]
-
+    scaled = None
     if method == "full-ml-cov":
-        cov = np.cov(params.T, ddof=1).reshape(p + q, p + q)
-        scaled = n * cov
+        scaled = n * np.cov(params.T, ddof=1).reshape(p + q, p + q)
         kap = math.sqrt(float(scaled[p, p])) if q == 1 else math.sqrt(
             float(np.linalg.det(scaled[p:, p:]) ** (1.0 / q))
         )
-        return KappaStudy(
-            method=method,
-            n=n,
-            replications=reps,
-            failures=failures,
-            kappa=kap,
-            se=kap / math.sqrt(2.0 * (reps_kept - 1)),
-            inverse_info=scaled,
-        )
-
-    root_n_dev = math.sqrt(n) * (params[:, p] - gamma0[0])
-    kap = float(np.std(root_n_dev, ddof=1))
+    else:
+        kap = float(np.std(math.sqrt(n) * (params[:, p] - gamma0[0]), ddof=1))
     return KappaStudy(
         method=method,
         n=n,
         replications=reps,
         failures=failures,
         kappa=kap,
-        se=kap / math.sqrt(2.0 * (reps_kept - 1)),
+        se=kap / math.sqrt(2.0 * (len(params) - 1)),
+        inverse_info=scaled,
     )
 
 
@@ -290,15 +279,7 @@ class StudyResult:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.header) + "\n")
-            for row in self.rows:
-                fh.write(
-                    ",".join(
-                        repr(float(v)) if isinstance(v, float) else str(v)
-                        for v in row
-                    )
-                    + "\n"
-                )
+            write_csv(fh, self.header, self.rows)
         return path
 
     def write_manifest(self, path):
@@ -311,12 +292,25 @@ class StudyResult:
         return path
 
 
+def _study_result(config: StudyConfig, header, rows, failures, crossings=(), kappa_rows=()):
+    return StudyResult(
+        header=header,
+        rows=tuple(rows),
+        crossings=tuple(crossings),
+        kappa_rows=tuple(kappa_rows),
+        replications=config.replications * len(config.n_list) * len(config.delta_grid),
+        failures=failures,
+        manifest=tuple(config.manifest_lines()),
+    )
+
+
 @dataclass(frozen=True)
 class _Cell:
     """One (n, delta) cell over the replications that survived every check:
-    the wide departure estimates, the narrow and wide estimates of the
-    focus, and the plug-in geometry at each narrow fit."""
+    the true focus value, the wide departure estimates, the narrow and wide
+    estimates of the focus, and the plug-in geometry at each narrow fit."""
 
+    mu_true: float
     gamma_hat: np.ndarray
     mu_n: np.ndarray
     mu_w: np.ndarray
@@ -324,12 +318,15 @@ class _Cell:
     failures: int
 
 
-def _fit_cell(config: StudyConfig, gamma_true, design, estimand) -> _Cell:
-    """Draw the replications at gamma_true and fit both models to them, block
-    by block, then evaluate the plug-in geometry at all the narrow fits at
-    once. A row whose narrow fit fails gets no wide fit."""
+def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _Cell:
+    """Draw the replications at gamma0 + delta/sqrt(n) and fit both models to
+    them, block by block, then evaluate the plug-in geometry at all the
+    narrow fits at once. A row whose narrow fit fails gets no wide fit."""
     model = config.model
+    if model.q != 1:
+        raise ValueError("MSE and coverage studies support a scalar departure only")
     gamma0 = np.asarray(model.gamma0, dtype=float)
+    gamma_true = gamma0 + delta / math.sqrt(n)
 
     def fit_both(ys):
         narrow, kept = _fit_block(fit_narrow, model, ys, design, wide=False)
@@ -356,6 +353,7 @@ def _fit_cell(config: StudyConfig, gamma_true, design, estimand) -> _Cell:
     kept = [r for r in range(len(thetas)) if r not in geom.errors]
     fields = (geom.bias_slope, geom.kappa, geom.tau0_sq, geom.tau_sq)
     return _Cell(
+        mu_true=estimand(np.asarray(model.theta0, dtype=float), gamma_true),
         gamma_hat=gamma_hat[kept],
         mu_n=mu_n[kept],
         mu_w=mu_w[kept],
@@ -393,12 +391,7 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
     the plug-in radius at the fitted narrow parameters. The debias entry
     applies the first-order bias correction instead of a weight rule.
     """
-    model = config.model
-    theta0 = np.asarray(model.theta0, dtype=float)
-    gamma0 = np.asarray(model.gamma0, dtype=float)
-    if model.q != 1:
-        raise ValueError("MSE studies support a scalar departure only")
-    g0 = float(gamma0[0])
+    g0 = float(config.model.gamma0[0])
     estimators = config.resolved_estimators()
     rows = []
     crossings = []
@@ -413,9 +406,7 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
         plugin_kappas = []
         for delta in config.delta_grid:
             delta = float(delta)
-            gamma_true = gamma0 + delta / math.sqrt(n)
-            mu_true = estimand(theta0, gamma_true)
-            cell = _fit_cell(config, gamma_true, design, estimand)
+            cell = _fit_cell(config, n, delta, design, estimand)
 
             def evaluate(idx):
                 gamma_hat, mu_n = cell.gamma_hat[idx], cell.mu_n[idx]
@@ -430,7 +421,7 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
             total_failures += _checked_failures(
                 config, cell.failures + len(cell.gamma_hat) - len(kept)
             )
-            sqerr = n * (estimates - mu_true) ** 2
+            sqerr = n * (estimates - cell.mu_true) ** 2
             means = sqerr.mean(axis=0)
             ses = sqerr.std(axis=0, ddof=1) / math.sqrt(sqerr.shape[0])
             for (name, _), m, s in zip(estimators, means, ses):
@@ -447,14 +438,9 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
         for cross in _curve_crossings(narrow_curve, wide_curve):
             crossings.append((n, cross))
 
-    return StudyResult(
-        header=("delta", "n", "estimator", "nmse", "se"),
-        rows=tuple(rows),
-        crossings=tuple(crossings),
-        kappa_rows=tuple(kappa_rows),
-        replications=config.replications * len(config.n_list) * len(config.delta_grid),
-        failures=total_failures,
-        manifest=tuple(config.manifest_lines()),
+    return _study_result(
+        config, ("delta", "n", "estimator", "nmse", "se"), rows, total_failures,
+        crossings, kappa_rows,
     )
 
 
@@ -490,10 +476,6 @@ def coverage_study(config: StudyConfig) -> StudyResult:
 
     model = config.model
     z = std_normal_quantile((1.0 + config.level) / 2.0)
-    theta0 = np.asarray(model.theta0, dtype=float)
-    gamma0 = np.asarray(model.gamma0, dtype=float)
-    if model.q != 1:
-        raise ValueError("coverage studies support a scalar departure only")
     rows = []
     total_failures = 0
     for n in config.n_list:
@@ -503,16 +485,13 @@ def coverage_study(config: StudyConfig) -> StudyResult:
         truth_geom = limit_geometry(model, design, estimand)
         for delta in config.delta_grid:
             delta = float(delta)
-            gamma_true = gamma0 + delta / math.sqrt(n)
-            mu_true = estimand(theta0, gamma_true)
-
-            cell = _fit_cell(config, gamma_true, design, estimand)
+            cell = _fit_cell(config, n, delta, design, estimand)
             total_failures += _checked_failures(config, cell.failures)
             half_n = z * cell.geom.tau0 / math.sqrt(n)
             half_w = z * cell.geom.tau / math.sqrt(n)
             kept = np.column_stack([
-                np.abs(cell.mu_n - mu_true) <= half_n,
-                np.abs(cell.mu_w - mu_true) <= half_w,
+                np.abs(cell.mu_n - cell.mu_true) <= half_n,
+                np.abs(cell.mu_w - cell.mu_true) <= half_w,
             ]).astype(float)
             reps_kept = kept.shape[0]
             for idx, kind in enumerate(("narrow", "wide")):
@@ -524,12 +503,6 @@ def coverage_study(config: StudyConfig) -> StudyResult:
                 else:
                     predicted = config.level
                 rows.append((delta, n, kind, cov, float(se), float(predicted)))
-    return StudyResult(
-        header=("delta", "n", "interval", "coverage", "se", "predicted"),
-        rows=tuple(rows),
-        crossings=(),
-        kappa_rows=(),
-        replications=config.replications * len(config.n_list) * len(config.delta_grid),
-        failures=total_failures,
-        manifest=tuple(config.manifest_lines()),
+    return _study_result(
+        config, ("delta", "n", "interval", "coverage", "se", "predicted"), rows, total_failures
     )

@@ -22,8 +22,8 @@ from .numerics import (
     DomainError,
     NumericsError,
     PartitionedInfo,
-    _legendre_rule,
     central_gradient,
+    legendre_panels,
     shifted_normal_nodes,
     std_normal_pdf,
     std_normal_quantile,
@@ -311,7 +311,7 @@ def mean_abs_departure_score(model: ModelSpec, design: Design, theta=None) -> np
 # pieces shared by the built-in families
 
 
-def _iid_design(n, **kw):
+def _iid_design(n):
     return Design(int(n))
 
 
@@ -368,14 +368,8 @@ def _exp_unit_nodes():
     panels = (
         0.0, 2.0**-20, 2.0**-15, 2.0**-10, 2.0**-5, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0
     )
-    gx, gw = _legendre_rule(48)
-    nodes, weights = [], []
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        x = mid + half * gx
-        nodes.append(x)
-        weights.append(half * gw * np.exp(-x))
-    return np.concatenate(nodes), np.concatenate(weights)
+    x, w = legendre_panels(panels, 48)
+    return x, w * np.exp(-x)
 
 
 def _normal_nodes(means, sigma: float, n: int):
@@ -393,8 +387,6 @@ def _normal_nodes(means, sigma: float, n: int):
 
 def _require_positive(y, design=None):
     y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise DomainError("empty observations")
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise DomainError("observations must be positive and finite")
 
@@ -688,7 +680,7 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         ("sigma", "slope", "curvature"),
         (sigma, beta),
         columns,
-        default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
+        default_design=lambda n: uniform_grid_design(int(n)),
         estimand_factories={
             "slope": lambda design: Estimand(
                 "slope",
@@ -717,9 +709,9 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
             lambda th, g: [z0],
         )
 
-    def covariate_design(n, b=1.0, **kw):
+    def covariate_design(n):
         n = int(n)
-        x = b * np.arange(1, n + 1) / (n + 1.0)
+        x = np.arange(1, n + 1) / (n + 1.0)
         return Design(n, np.column_stack([x, _golden_sequence(n)]))
 
     return _mean_departure(
@@ -838,7 +830,7 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
         (sigma, alpha, beta),
         columns,
         0,
-        default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
+        default_design=lambda n: uniform_grid_design(int(n)),
         narrow_fit_exact=lambda y, design: _least_squares(y, columns(design)[0]),
         estimand_factories={"sd-at": sd_at, "mean-at": mean_at},
         default_estimand="sd-at",
@@ -972,15 +964,9 @@ def reparameterised_noise_summaries(power: float) -> NoiseSummaries:
     )
     lo = -math.sqrt(83.0 / min(lam, 1.0) + 25.0)
     hi = 10.0 + math.sqrt(max(math.log(max(lam, 1.0)), 0.0))
-    gx, gw = _legendre_rule(160)
-    edges = np.linspace(lo, hi, 9)
-    m1 = m2 = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        z = mid + half * gx
-        dens = lam * np.exp((lam - 1.0) * special.log_ndtr(z)) * std_normal_pdf(z)
-        m1 += float(half * (gw * dens) @ z)
-        m2 += float(half * (gw * dens) @ (z * z))
+    z, w = legendre_panels(np.linspace(lo, hi, 9), 160)
+    mass = w * (lam * np.exp((lam - 1.0) * special.log_ndtr(z)) * std_normal_pdf(z))
+    m1, m2 = float(mass @ z), float(mass @ (z * z))
     sd = math.sqrt(max(m2 - m1 * m1, 0.0))
     return NoiseSummaries(median, iqr, m1, sd)
 
@@ -1099,7 +1085,7 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         ("sigma", "slope", "power"),
         (sigma, beta),
         _centered,
-        default_design=lambda n, b=1.0, **kw: uniform_grid_design(int(n), float(b)),
+        default_design=lambda n: uniform_grid_design(int(n)),
         narrow_fit_exact=lambda y, design: _least_squares(y, (_centered(design),)),
         estimand_factories={"median-at": median_at},
         default_estimand="median-at",
@@ -1112,8 +1098,6 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
 
 def _check_binary(y, design=None):
     y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise DomainError("empty observations")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DomainError("binary-response models need observations in {0, 1}")
 
@@ -1172,7 +1156,7 @@ def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         sampler=lambda theta, gamma, design, rng: (
             rng.random(design.n) < probs(design, theta, gamma)
         ).astype(float),
-        default_design=lambda n, b=4.0, **kw: uniform_grid_design(int(n), float(b)),
+        default_design=lambda n: uniform_grid_design(int(n), 4.0),
         null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
         closed_information=closed_information,
         data_check=_check_binary,
@@ -1239,7 +1223,7 @@ def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         sampler=lambda theta, gamma, design, rng: (
             rng.random(design.n) < probs(design, theta, gamma)
         ).astype(float),
-        default_design=lambda n, b=2.0, **kw: uniform_grid_design(int(n), float(b)),
+        default_design=lambda n: uniform_grid_design(int(n), 2.0),
         null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
         closed_information=closed_information,
         data_check=_check_binary,

@@ -124,6 +124,19 @@ def _legendre_rule(nodes: int):
     return x, w
 
 
+def legendre_panels(edges, nodes: int):
+    """Gauss-Legendre nodes x and weights w of `nodes` points on each panel
+    between consecutive edges, so that w @ f(x) approximates the integral of
+    f from edges[0] to edges[-1]."""
+    gx, gw = _legendre_rule(nodes)
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        xs.append(mid + half * gx)
+        ws.append(half * gw)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
 def _check_finite(values: np.ndarray, context: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -148,17 +161,12 @@ def shifted_normal_nodes(shift: float, knots=None):
         x, w = _hermite_rule(200)
         return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
     lo, hi = shift - 8.0, shift + 8.0
-    edges = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
-    gx, gw = _legendre_rule(60)
-    zs, ws = [], []
-    for left, right in zip(edges[:-1], edges[1:]):
-        bounds = np.linspace(left, right, max(1, math.ceil((right - left) / 2.0)) + 1)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            mid, half = (a + b) / 2.0, (b - a) / 2.0
-            z = mid + half * gx
-            zs.append(z)
-            ws.append(half * gw * std_normal_pdf(z - shift))
-    return np.concatenate(zs), np.concatenate(ws)
+    splits = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
+    edges = [lo]
+    for left, right in zip(splits[:-1], splits[1:]):
+        edges.extend(np.linspace(left, right, max(1, math.ceil((right - left) / 2.0)) + 1)[1:])
+    z, w = legendre_panels(edges, 60)
+    return z, w * std_normal_pdf(z - shift)
 
 
 # ---------------------------------------------------------------------------

@@ -248,24 +248,12 @@ def l1_tolerance(rho: float) -> float:
     if rho < 1e-6:
         return 1.0
     target = math.sqrt(1.0 + rho * rho) * math.sqrt(2.0 / math.pi)
-
-    def gap(a):
-        return mean_abs_normal(rho * a) - target
-
-    lo, hi = 0.1, 2.0
-    glo, ghi = gap(lo), gap(hi)
-    if glo >= 0.0 or ghi <= 0.0:
+    found = crossing_points(
+        lambda a: mean_abs_normal(rho * a), lambda a: target, 0.1, 2.0, tol=1e-12
+    )
+    if len(found) != 1:
         raise NumericsError("absolute-error tolerance bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if gm <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +377,30 @@ def risk_table(
     return header, np.column_stack(columns)
 
 
+def write_csv(fh, header, rows):
+    """Write a header line and the rows as CSV to the open file fh: floats
+    (numpy's included) at full precision as repr(float(v)), anything else
+    as str(v)."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def write_risk_csv(path, estimators, grid=None, *, loss="l2", rho=None):
     """Write a deterministic risk table as CSV (full-precision floats)."""
-    header, matrix = risk_table(estimators, grid, loss=loss, rho=rho)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(fh, *risk_table(estimators, grid, loss=loss, rho=rho))
     return path
 
 
-def crossing_points(f, g, lo: float, hi: float, *, samples: int = 501, tol: float = 1e-6):
+def crossing_points(f, g, lo: float, hi: float, *, tol: float = 1e-6):
     """Abscissas in (lo, hi) where f - g changes sign, refined by bisection.
 
-    f and g take arrays: each is sampled once on the whole grid of
-    `samples` points (a scalar result broadcasts), then called with single
-    floats while a sign change is bisected.
+    f and g take arrays: each is sampled once on a grid of 501 points (a
+    scalar result broadcasts), then called with single floats while a sign
+    change is bisected.
     """
-    xs = np.linspace(float(lo), float(hi), int(samples))
+    xs = np.linspace(float(lo), float(hi), 501)
     diffs = np.broadcast_to(
         np.asarray(f(xs), dtype=float) - np.asarray(g(xs), dtype=float), xs.shape
     )

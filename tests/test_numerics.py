@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mistol.estimators import efron_morris, mlplus, pretest, qtilde, restricted
+from mistol.models import _exp_unit_nodes
 from mistol.numerics import (
     DomainError,
     PartitionedInfo,
@@ -123,6 +125,50 @@ class TestShiftedNormalNodes:
             got = self.expect(np.abs, shift, knots=(0.0,))
             closed = shift * (2.0 * std_normal_cdf(shift) - 1.0) + 2.0 * std_normal_pdf(shift)
             assert got == pytest.approx(closed, abs=1e-8)
+
+    def test_panel_rules_keep_their_bits(self):
+        """The analytic benchmark references pin the last bit of these rules,
+        so each is checked against its panel loop written out here."""
+
+        def pinned_normal(shift, knots):
+            if knots is None:
+                x, w = np.polynomial.hermite.hermgauss(200)
+                return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+            lo, hi = shift - 8.0, shift + 8.0
+            edges = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
+            gx, gw = np.polynomial.legendre.leggauss(60)
+            zs, ws = [], []
+            for left, right in zip(edges[:-1], edges[1:]):
+                bounds = np.linspace(left, right, max(1, math.ceil((right - left) / 2.0)) + 1)
+                for a, b in zip(bounds[:-1], bounds[1:]):
+                    mid, half = (a + b) / 2.0, (b - a) / 2.0
+                    z = mid + half * gx
+                    zs.append(z)
+                    ws.append(half * gw * std_normal_pdf(z - shift))
+            return np.concatenate(zs), np.concatenate(ws)
+
+        rules = (
+            pretest(1.0), pretest(1.645), pretest(math.sqrt(2.0)), restricted(),
+            efron_morris(), mlplus(), qtilde(0.5),
+        )
+        for knots in (None, (), *(rule.knots for rule in rules)):
+            for shift in (-8.5, -1.9, 0.0, 0.05, 0.502, 1.0, 1.645, 2.35, 5.0, 9.0):
+                got, want = shifted_normal_nodes(shift, knots), pinned_normal(shift, knots)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+        panels = (
+            0.0, 2.0**-20, 2.0**-15, 2.0**-10, 2.0**-5, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0
+        )
+        gx, gw = np.polynomial.legendre.leggauss(48)
+        nodes, weights = [], []
+        for lo, hi in zip(panels[:-1], panels[1:]):
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            x = mid + half * gx
+            nodes.append(x)
+            weights.append(half * gw * np.exp(-x))
+        got = _exp_unit_nodes()
+        assert np.array_equal(got[0], np.concatenate(nodes))
+        assert np.array_equal(got[1], np.concatenate(weights))
 
 
 def gauss_jordan_inverse(mat):
