@@ -21,6 +21,7 @@ from .numerics import (
     NumericsError,
     central_gradient,
     legendre_panels,
+    rows_that_hold,
     std_normal_mills_ratio,
     std_normal_pdf,
 )
@@ -556,27 +557,25 @@ class FitResult:
         return bool(ok) if ok.ndim == 0 else ok
 
 
-def _fd_hessian(f, x):
+def _fd_hessian(f, x, f0):
+    """Central-difference Hessian of f at x, step 1e-4*(1+|x_i|); f0 is f(x)."""
     k = x.size
     h = 1e-4 * (1.0 + np.abs(x))
     hess = np.empty((k, k))
-    f0 = f(x)
+
+    def at(*moves):
+        point = x.copy()
+        for i, sign in moves:
+            point[i] += sign * h[i]
+        return f(point)
+
     for i in range(k):
-        up, dn = x.copy(), x.copy()
-        up[i] += h[i]
-        dn[i] -= h[i]
-        hess[i, i] = (f(up) - 2.0 * f0 + f(dn)) / h[i] ** 2
+        hess[i, i] = (at((i, 1.0)) - 2.0 * f0 + at((i, -1.0))) / h[i] ** 2
         for j in range(i + 1, k):
-            pp, pm, mp, mm = x.copy(), x.copy(), x.copy(), x.copy()
-            pp[[i, j]] += [h[i], h[j]]
-            pm[i] += h[i]
-            pm[j] -= h[j]
-            mp[i] -= h[i]
-            mp[j] += h[j]
-            mm[[i, j]] -= [h[i], h[j]]
-            hess[i, j] = hess[j, i] = (f(pp) - f(pm) - f(mp) + f(mm)) / (
-                4.0 * h[i] * h[j]
-            )
+            hess[i, j] = hess[j, i] = (
+                at((i, 1.0), (j, 1.0)) - at((i, 1.0), (j, -1.0))
+                - at((i, -1.0), (j, 1.0)) + at((i, -1.0), (j, -1.0))
+            ) / (4.0 * h[i] * h[j])
     return hess
 
 
@@ -598,7 +597,7 @@ def maximize_loglik(f, x0):
         trace.append((float(loglik), gnorm))
         if gnorm <= 1e-8 * (1.0 + abs(loglik)):
             return x, float(loglik), iteration, gnorm
-        hess = _fd_hessian(f, x)
+        hess = _fd_hessian(f, x, loglik)
         step = None
         try:
             candidate = np.linalg.solve(hess, -grad)
@@ -727,8 +726,8 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
     gradient check.
 
     A single sample raises the first failure. A stack lists each failing row
-    in errors; if the closed form raises on the stack, each row is fitted as
-    a stack of one, so that only the rows that fail alone are dropped.
+    in errors; if the closed form raises on the stack, only the rows that
+    raise alone are dropped (numerics.rows_that_hold).
     """
     single = y.ndim < 2
     rows = np.atleast_2d(y)
@@ -738,23 +737,21 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
             _checked_sample(model, row, design)
         except DomainError as err:
             errors[r] = err
-    live = [r for r in range(len(rows)) if r not in errors]
+    live = np.array([r for r in range(len(rows)) if r not in errors], dtype=int)
     params = np.full((len(rows), model.p + model.q * wide), np.nan)
     loglik, gnorm = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-    block = y if single else rows[live]  # a single sample stays 1-D
-    try:
-        parts = [(live, _closed_values(model, block, design, exact, wide))] if live else []
-    except NumericsError:
-        if single:
-            raise
-        parts = []
-        for r in live:
-            try:
-                parts.append(([r], _closed_values(model, rows[r:r + 1], design, exact, wide)))
-            except NumericsError as err:
-                errors[r] = err
-    for idx, (values, lls, norms) in parts:
-        params[idx], loglik[idx], gnorm[idx] = values, lls, norms
+    if single:  # a single sample stays 1-D and raises its own failure
+        if errors:
+            raise errors[0]
+        kept, values = live, _closed_values(model, y, design, exact, wide)
+    else:
+        values, kept, alone = rows_that_hold(
+            lambda idx: _closed_values(model, rows[live[idx]], design, exact, wide), live.size
+        )
+        errors.update((int(live[r]), err) for r, err in alone.items())
+        kept = live[kept]
+    if kept.size:
+        params[kept], loglik[kept], gnorm[kept] = values
     outside = ~np.isfinite(loglik)
     failing = outside | ~(gnorm <= 1e-8 * (1.0 + np.abs(loglik)))
     # A closed fit of a built-in lands outside the support only where its
@@ -778,27 +775,35 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
     return _fit_result(model, wide, single, params, loglik, gnorm, 0, "closed", errors)
 
 
-def _newton_fit(model, y, design, start) -> FitResult:
-    """Newton ascent from start, certified by maximize_loglik itself."""
+def _newton_fit(model, y, design, wide) -> FitResult:
+    """Newton ascent from theta0, or for a wide fit from the narrow fit
+    followed by gamma0, certified by maximize_loglik itself."""
     p = model.p
-    narrow = start.size == p
     gamma0 = np.asarray(model.gamma0, dtype=float)
+    if wide:
+        start = np.concatenate([fit_narrow(model, y, design).theta, gamma0])
+    else:
+        start = np.asarray(model.theta0, dtype=float)
 
     def objective(x):
-        if narrow:
+        if not wide:
             return model.loglik(y, design, x, gamma0)
         return model.loglik(y, design, x[:p], x[p:])
 
     params, loglik, iterations, gnorm = maximize_loglik(objective, start)
-    return FitResult(
-        params=params,
-        theta=params[:p],
-        gamma=None if narrow else params[p:],
-        loglik=float(loglik),
-        iterations=iterations,
-        grad_norm=gnorm,
-        method="newton",
-    )
+    return _fit_result(model, wide, True, params[None], [loglik], [gnorm], iterations, "newton", {})
+
+
+def _fit(model, y, design, wide) -> FitResult:
+    """The fit of y, (n,) or (B, n), by its one route: the closed form, a
+    Newton fit per row of a stack, or one Newton fit."""
+    y = np.asarray(y, dtype=float)
+    exact = model.wide_fit_exact if wide else model.narrow_fit_exact
+    if exact is not None:
+        return _closed_fit(model, y, design, exact, wide)
+    if y.ndim == 2:
+        return fit_rows(fit_wide if wide else fit_narrow, model, y, design, wide)
+    return _newton_fit(model, _checked_sample(model, y, design), design, wide)
 
 
 def fit_rows(fit, model: ModelSpec, y, design: Design, wide: bool) -> FitResult:
@@ -834,13 +839,7 @@ def fit_narrow(model: ModelSpec, y, design: Design) -> FitResult:
     form then fits and certifies the whole stack in one pass of array
     operations, and a Newton fit runs row by row (see FitResult).
     """
-    y = np.asarray(y, dtype=float)
-    if model.narrow_fit_exact is not None:
-        return _closed_fit(model, y, design, model.narrow_fit_exact, wide=False)
-    if y.ndim == 2:
-        return fit_rows(fit_narrow, model, y, design, wide=False)
-    y = _checked_sample(model, y, design)
-    return _newton_fit(model, y, design, np.asarray(model.theta0, dtype=float))
+    return _fit(model, y, design, wide=False)
 
 
 def fit_wide(model: ModelSpec, y, design: Design) -> FitResult:
@@ -850,12 +849,4 @@ def fit_wide(model: ModelSpec, y, design: Design) -> FitResult:
     is no smaller than the narrow one on the same data. y may also be a
     stack (B, n), as for fit_narrow.
     """
-    y = np.asarray(y, dtype=float)
-    if model.wide_fit_exact is not None:
-        return _closed_fit(model, y, design, model.wide_fit_exact, wide=True)
-    if y.ndim == 2:
-        return fit_rows(fit_wide, model, y, design, wide=True)
-    y = _checked_sample(model, y, design)
-    narrow = fit_narrow(model, y, design)
-    start = np.concatenate([narrow.theta, np.asarray(model.gamma0, dtype=float)])
-    return _newton_fit(model, y, design, start)
+    return _fit(model, y, design, wide=True)

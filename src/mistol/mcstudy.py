@@ -41,6 +41,7 @@ from .numerics import (
     PartitionedInfo,
     partitioned_inverse,
     replication_rng,
+    rows_that_hold,
 )
 from .risk import LimitGeometry, ci_coverage, limit_geometry, write_csv
 
@@ -362,28 +363,6 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
     )
 
 
-def _rows_that_hold(evaluate, count: int):
-    """evaluate(rows) on every row index at once, or, if a numerical
-    failure stops that, on the rows that do not raise it on their own.
-
-    Returns (values, rows kept)."""
-    rows = np.arange(count)
-    try:
-        return evaluate(rows), rows
-    except NumericsError:
-        pass
-
-    def holds(r):
-        try:
-            evaluate(rows[r:r + 1])
-        except NumericsError:
-            return False
-        return True
-
-    rows = rows[[holds(r) for r in range(count)]]
-    return evaluate(rows), rows
-
-
 def finite_sample_mse(config: StudyConfig) -> StudyResult:
     """n*(mu_star - mu_true)^2 averaged over replications, per (delta, n, rule).
 
@@ -417,7 +396,7 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
                     for _, est in estimators
                 ])
 
-            estimates, kept = _rows_that_hold(evaluate, len(cell.gamma_hat))
+            estimates, kept, _ = rows_that_hold(evaluate, len(cell.gamma_hat))
             total_failures += _checked_failures(
                 config, cell.failures + len(cell.gamma_hat) - len(kept)
             )

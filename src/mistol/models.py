@@ -391,6 +391,15 @@ def _require_positive(y, design=None):
         raise DomainError("observations must be positive and finite")
 
 
+def _require_spread(y, design=None):
+    _require_positive(y)
+    if np.min(y) == np.max(y):
+        raise DomainError(
+            "a constant sample has no gamma MLE: the likelihood grows without "
+            "bound as the shape goes to infinity at the sample mean"
+        )
+
+
 def _exp_rate_mle(y, design):
     return 1.0 / np.mean(y, axis=-1, keepdims=True)
 
@@ -401,7 +410,7 @@ def _exp_null_quadrature(theta, design):
     return np.broadcast_to(w / float(theta[0]), shape), np.broadcast_to(wt, shape)
 
 
-def _exponential(name: str, rate: float, **fields) -> ModelSpec:
+def _exponential(name: str, rate: float, data_check=_require_positive, **fields) -> ModelSpec:
     """Exponential(rate) narrow model inside a wide family whose shape has
     null value 1; fields give the wide family's own callables."""
     return ModelSpec(
@@ -412,7 +421,7 @@ def _exponential(name: str, rate: float, **fields) -> ModelSpec:
         default_design=_iid_design,
         null_quadrature=_exp_null_quadrature,
         narrow_fit_exact=_exp_rate_mle,
-        data_check=_require_positive,
+        data_check=data_check,
         **fields,
     )
 
@@ -575,6 +584,7 @@ def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
         score_null=score_null,
         sampler=sampler,
         closed_information=closed_information,
+        data_check=_require_spread,
         estimand_factories={
             "mean": lambda design: Estimand(
                 "mean",

@@ -235,6 +235,30 @@ class PartitionedInfo:
         return cls(full[..., :p, :p], full[..., :p, p:], full[..., p:, p:])
 
 
+def rows_that_hold(evaluate, count: int):
+    """evaluate(rows) on every row index at once, or, if a numerical
+    failure stops that, on the rows that do not raise it on their own.
+
+    Returns (values, rows kept, errors), where errors maps each row left
+    out to the NumericsError it raised alone. evaluate is never called on
+    an empty set of rows; values is then None.
+    """
+    rows = np.arange(count)
+    if count:
+        try:
+            return evaluate(rows), rows, {}
+        except NumericsError:
+            pass
+    errors = {}
+    for r in range(count):
+        try:
+            evaluate(rows[r:r + 1])
+        except NumericsError as err:
+            errors[r] = err
+    rows = np.array([r for r in range(count) if r not in errors], dtype=int)
+    return (evaluate(rows) if rows.size else None), rows, errors
+
+
 def _chol_inverse(m: np.ndarray, block: str, errors: dict, scale=None) -> np.ndarray:
     """Inverses of a stack of SPD matrices via Cholesky.
 
@@ -245,17 +269,19 @@ def _chol_inverse(m: np.ndarray, block: str, errors: dict, scale=None) -> np.nda
     can leave a rounding-level positive pivot that Cholesky happily accepts.
     """
     ident = np.eye(m.shape[-1])
-    live = np.array([r not in errors for r in range(len(m))], dtype=bool)
+    live = np.array([r for r in range(len(m)) if r not in errors], dtype=int)
+
+    def factor(idx):
+        try:
+            return np.linalg.cholesky(m[live[idx]])
+        except np.linalg.LinAlgError as err:
+            raise SingularBlockError(block, str(err)) from None
+
+    factors, kept, alone = rows_that_hold(factor, live.size)
+    errors.update((int(live[r]), err) for r, err in alone.items())
     c = np.empty_like(m)
     c[:] = ident
-    try:
-        c[live] = np.linalg.cholesky(m[live])
-    except np.linalg.LinAlgError:
-        for r in np.flatnonzero(live).tolist():
-            try:
-                c[r] = np.linalg.cholesky(m[r])
-            except np.linalg.LinAlgError as err:
-                errors[r] = SingularBlockError(block, str(err))
+    c[live[kept]] = factors  # None only where no row is kept
     if scale is None:
         scale = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1)), axis=-1)
     pivots = np.min(np.diagonal(c, axis1=-2, axis2=-1), axis=-1) ** 2

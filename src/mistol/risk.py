@@ -9,6 +9,7 @@ and sample size.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -380,10 +381,11 @@ def risk_table(
 def write_csv(fh, header, rows):
     """Write a header line and the rows as CSV to the open file fh: floats
     (numpy's included) at full precision as repr(float(v)), anything else
-    as str(v)."""
-    fh.write(",".join(header) + "\n")
+    as str(v). A field that holds a comma is quoted."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
+        writer.writerow(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
 
 
 def write_risk_csv(path, estimators, grid=None, *, loss="l2", rho=None):

@@ -1,3 +1,4 @@
+import csv
 import importlib.metadata
 import math
 import shutil
@@ -489,3 +490,26 @@ def test_console_script_entry_point_target(capsys):
     main = getattr(importlib.import_module(module), attr)
     assert main(["select", "--a", "0", "--q", "1", "--level", "0.05"]) == 0
     assert "narrow_prob_aic" in capsys.readouterr().out
+
+
+def test_tolerance_out_reads_back_as_key_value_pairs(tmp_path):
+    path = tmp_path / "report.csv"
+    code, out, _ = run_cli(
+        "tolerance", "--model", "weibull-vs-exp", "--n", "100", "--out", str(path)
+    )
+    assert code == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    keys = [line.partition(": ")[0] for line in out.splitlines()]
+    assert [row[0] for row in rows[1:]] == keys
+    assert any("," in key for key in keys)  # the keys that need quoting
+
+
+def test_gamma_constant_sample_is_a_usage_error(tmp_path):
+    path = tmp_path / "flat.dat"
+    path.write_text("3.0\n" * 40)
+    code, _, err = run_cli("estimate", "--model", "gamma-vs-exp", "--data", str(path))
+    assert code == 2
+    assert "a constant sample has no gamma MLE" in err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -712,3 +713,68 @@ class TestStackedFits:
             stacked = assert_rows_equal_single_calls(fit, model, ys, design, exact=True)
             assert stacked.method == "newton"
             assert stacked.iterations == sum(fit(model, y, design).iterations for y in ys)
+
+
+class TestNewtonFitPins:
+    """Whole fits of the six Newton-fitted built-ins, pinned bit for bit:
+    a moved Newton iterate can move a study's failure count (see
+    TestNewtonPathArithmetic in test_models.py)."""
+
+    # (model, fit, params, loglik, grad_norm, iterations) for the sample
+    # drawn from replication_rng(11, 0) at theta0, gamma0 + 0.5/sqrt(200)
+    PINS = (
+        ("gamma-vs-exp", "fit_narrow", [0.9131284955046258],
+         -218.17573368329272, 0.0, 0),
+        ("gamma-vs-exp", "fit_wide", [1.0767822432721457, 1.1792231307847567],
+         -216.5466002425683, 6.521064554818925e-09, 4),
+        ("varhet-regression", "fit_narrow",
+         [0.930637826020703, 0.02807829995644053, 0.9767890589842405],
+         -269.4106879447488, 2.057762311590645e-08, 0),
+        ("varhet-regression", "fit_wide",
+         [0.9004836761133265, 0.024128972489174377, 0.9846877142196062, 0.13645418498112638],
+         -269.35569966608136, 3.7358180046058674e-08, 4),
+        ("transform-constant", "fit_narrow", [0.975964255923344, -0.05692776954287262],
+         -278.9218433871256, 2.6890872062805734e-08, 0),
+        ("transform-constant", "fit_wide",
+         [1.2281694899438784, -0.8813027197925226, 2.3198793696666344],
+         -278.57899806814055, 4.7407170095187057e-07, 9),
+        ("transform-regression", "fit_narrow", [0.9724088362538593, 1.351059763590574],
+         -278.1919167359678, 1.4409644140706936e-08, 0),
+        ("transform-regression", "fit_wide",
+         [0.9549551200104411, 1.3476264844529362, 0.9446339325522284],
+         -277.92776440293085, 4.384636453366114e-08, 3),
+        ("logistic-quadratic", "fit_narrow", [0.3557100040411985, 0.9184337034284632],
+         -114.81312791078452, 0.0, 4),
+        ("logistic-quadratic", "fit_wide",
+         [0.18601634962605326, 0.9540487079670867, 0.16277424587707848],
+         -114.22858249551828, 4.6053537145317566e-07, 3),
+        ("logistic-eta", "fit_narrow", [0.008351281005191424, 1.171818712396248],
+         -105.79259259862535, 2.633544110112367e-07, 3),
+        ("logistic-eta", "fit_wide",
+         [-2.3905295520658543, 1.7163559180143784, 0.2587987791567279],
+         -105.75466663570847, 6.221253302820137e-09, 23),
+    )
+
+    @pytest.mark.parametrize("name, fit, params, loglik, grad_norm, iterations", PINS)
+    def test_fit_bits(self, name, fit, params, loglik, grad_norm, iterations):
+        model = get_model(name)
+        design = model.default_design(200)
+        gamma = np.asarray(model.gamma0, dtype=float) + 0.5 / math.sqrt(200)
+        theta0 = np.asarray(model.theta0, dtype=float)
+        y = model.sampler(theta0, gamma, design, replication_rng(11, 0))
+        got = {"fit_narrow": fit_narrow, "fit_wide": fit_wide}[fit](model, y, design)
+        assert [float(v) for v in got.params] == params
+        assert (got.loglik, got.grad_norm, got.iterations) == (loglik, grad_norm, iterations)
+
+
+@pytest.mark.parametrize("fit", [fit_narrow, fit_wide])
+def test_gamma_constant_sample_is_rejected_fast(fit):
+    # no gamma MLE exists: the likelihood grows as the shape goes to infinity
+    model = get_model("gamma-vs-exp")
+    design = model.default_design(40)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="shape goes to infinity at the sample mean"):
+        fit(model, np.full(40, 3.0), design)
+    assert time.perf_counter() - start < 0.02
+    # the exponential narrow model of the Weibull pair has an MLE there
+    assert fit_narrow(get_model("weibull-vs-exp"), np.full(40, 3.0), design).converged

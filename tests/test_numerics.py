@@ -8,12 +8,14 @@ from mistol.estimators import efron_morris, mlplus, pretest, qtilde, restricted
 from mistol.models import _exp_unit_nodes
 from mistol.numerics import (
     DomainError,
+    NumericsError,
     PartitionedInfo,
     SingularBlockError,
     chisq_quantile,
     noncentral_chisq_cdf,
     partitioned_inverse,
     replication_rng,
+    rows_that_hold,
     shifted_normal_nodes,
     std_normal_cdf,
     std_normal_pdf,
@@ -275,3 +277,44 @@ class TestReplicationRng:
         with pytest.raises(ValueError):
             replication_rng(0, -2)
 
+
+
+class TestRowsThatHold:
+    def test_every_row_holds_in_one_call(self):
+        calls = []
+
+        def evaluate(rows):
+            calls.append(rows)
+            return 2.0 * rows
+
+        values, kept, errors = rows_that_hold(evaluate, 4)
+        assert len(calls) == 1 and errors == {}
+        assert np.array_equal(kept, np.arange(4))
+        assert np.array_equal(values, [0.0, 2.0, 4.0, 6.0])
+
+    def test_a_row_that_fails_alone_is_listed_with_its_message(self):
+        data = np.array([[1.0, 2.0], [4.0, 1.0], [-1.0, 3.0], [9.0, 5.0]])
+
+        def evaluate(rows):
+            block = data[rows]
+            if np.any(block < 0.0):
+                raise DomainError(f"rows {rows.tolist()} hold a negative value")
+            return np.sqrt(block) @ block.T  # couples the rows
+
+        values, kept, errors = rows_that_hold(evaluate, 4)
+        assert list(errors) == [2]
+        assert isinstance(errors[2], DomainError)
+        assert str(errors[2]) == "rows [2] hold a negative value"
+        assert np.array_equal(kept, [0, 1, 3])
+        assert np.array_equal(values, evaluate(np.array([0, 1, 3])))
+
+    def test_an_empty_set_of_rows_is_never_evaluated(self):
+        def fails(rows):
+            if not rows.size:
+                raise AssertionError("evaluated on no rows")
+            raise NumericsError("every row fails")
+
+        for count in (0, 3):
+            values, kept, errors = rows_that_hold(fails, count)
+            assert values is None and kept.size == 0
+            assert sorted(errors) == list(range(count))
