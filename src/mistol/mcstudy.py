@@ -223,10 +223,11 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
             return out
 
         infos = np.array(_fit_each(config, gamma0, design, score_covariances))
-        inv = partitioned_inverse(PartitionedInfo.from_full(infos, p))
-        kept = [r for r in range(len(infos)) if r not in inv.errors]
+        inv, kept, _ = rows_that_hold(
+            lambda rows: partitioned_inverse(PartitionedInfo.from_full(infos[rows], p)), len(infos)
+        )
         failures = _checked_failures(config, reps - len(kept))
-        kappas = np.sqrt(inv.inv22[kept, 0, 0]) if q == 1 else inv.inv22[kept]
+        kappas = np.sqrt(inv.inv22[:, 0, 0]) if q == 1 else inv.inv22
         return KappaStudy(
             method=method,
             n=n,
@@ -350,15 +351,17 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
 
     fits = _fit_each(config, gamma_true, design, fit_both)
     thetas, gamma_hat, mu_n, mu_w = map(np.array, zip(*fits))
-    geom = limit_geometry(model, design, estimand, theta=thetas)
-    kept = [r for r in range(len(thetas)) if r not in geom.errors]
-    fields = (geom.bias_slope, geom.kappa, geom.tau0_sq, geom.tau_sq)
+    geom, kept, _ = rows_that_hold(
+        lambda rows: limit_geometry(model, design, estimand, theta=thetas[rows]), len(thetas)
+    )
+    if geom is None:
+        _checked_failures(config, config.replications)  # every one failed: aborts
     return _Cell(
         mu_true=estimand(np.asarray(model.theta0, dtype=float), gamma_true),
         gamma_hat=gamma_hat[kept],
         mu_n=mu_n[kept],
         mu_w=mu_w[kept],
-        geom=LimitGeometry(*(values[kept] for values in fields)),
+        geom=geom,
         failures=config.replications - len(kept),
     )
 

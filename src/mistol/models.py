@@ -243,44 +243,28 @@ def information_at_null(model: ModelSpec, design: Design, theta=None) -> Partiti
     Uses the model's closed form when registered, otherwise averages
     score outer products against the null quadrature. theta may also be a
     stack (R, p) of parameter rows: the blocks then carry a leading row
-    axis, and a row whose information raises a NumericsError or is not
-    positive definite is NaN and listed in errors, where a single theta
-    raises.
+    axis. Raises NumericsError if the information (of any row) is not
+    positive definite.
     """
     theta = np.asarray(model.theta0 if theta is None else theta, dtype=float)
     rows = theta if theta.ndim == 2 else theta[None]
-    infos, errors = [], {}
-    for r, row in enumerate(rows):
-        try:
-            if model.closed_information is not None:
-                infos.append(model.closed_information(row, design))
-            else:
-                infos.append(information_generic(model, design, row))
-        except NumericsError as err:
-            infos.append(None)
-            errors[r] = err
+    information = model.closed_information or (
+        lambda row, design: information_generic(model, design, row)
+    )
+    infos = [information(row, design) for row in rows]
     p, q = model.p, model.q
-    j11 = np.full((len(rows), p, p), np.nan)
-    j12 = np.full((len(rows), p, q), np.nan)
-    j22 = np.full((len(rows), q, q), np.nan)
-    live = [r for r, info in enumerate(infos) if info is not None]
-    for r in live:
-        j11[r], j12[r], j22[r] = infos[r].j11, infos[r].j12, infos[r].j22
-    stacked = PartitionedInfo(j11, j12, j22, errors=errors)
-    eigs = np.linalg.eigvalsh(stacked.matrix[live])
-    for r, low, high in zip(live, eigs[:, 0], eigs[:, -1]):
-        if low <= 1e-12 * max(high, 1.0):
-            errors[r] = NumericsError(
-                f"information matrix for {model.name!r} is not positive definite; "
-                "the design may be too small or a score function misdeclared"
-            )
-            for block in (stacked.j11, stacked.j12, stacked.j22):
-                block[r] = np.nan
-    if theta.ndim < 2:
-        if errors:
-            raise errors[0]
-        return infos[0]
-    return stacked
+    stacked = PartitionedInfo(
+        np.reshape([info.j11 for info in infos], (-1, p, p)),
+        np.reshape([info.j12 for info in infos], (-1, p, q)),
+        np.reshape([info.j22 for info in infos], (-1, q, q)),
+    )
+    eigs = np.linalg.eigvalsh(stacked.matrix)
+    if np.any(eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1.0)):
+        raise NumericsError(
+            f"information matrix for {model.name!r} is not positive definite; "
+            "the design may be too small or a score function misdeclared"
+        )
+    return stacked if theta.ndim == 2 else infos[0]
 
 
 def _null_scores(model: ModelSpec, design: Design, theta):
@@ -891,23 +875,32 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
     def std_diff(design):
         """Scaled group difference combining mean and variance separation."""
 
-        def value(th, g):
-            pooled = th[2] ** 2 * (1.0 + g[0] / 2.0)
+        def parts(th, g):
+            # d^2 = nu^2 + omega^2, nu^2 = (xi2 - xi1)^2 / P, P = sigma^2 (1 + g/2)
+            half = 1.0 + g[0] / 2.0
+            pooled = th[2] ** 2 * half
             nu2 = (th[1] - th[0]) ** 2 / pooled
-            omega2 = 4.0 * math.log((1.0 + g[0] / 2.0) / math.sqrt(1.0 + g[0]))
-            return math.sqrt(nu2 + omega2)
+            omega2 = 4.0 * math.log(half / math.sqrt(1.0 + g[0]))
+            return half, pooled, nu2, math.sqrt(nu2 + omega2)
 
+        def value(th, g):
+            return parts(th, g)[3]
+
+        # At the null omega = 0 and d = nu, so nu / d is exactly 1 and the
+        # gradients are, bit for bit, (-s, s, -d) / sigma and -nu^2 / (4 d),
+        # s the sign of xi2 - xi1.
         def grad_theta(th, g):
-            # valid at the null point gamma = 0 only; the factories below
-            # are always evaluated there
-            d = value(th, g)
-            sgn = 1.0 if th[1] >= th[0] else -1.0
-            return [-sgn / th[2], sgn / th[2], -d / th[2]]
+            _, pooled, nu2, d = parts(th, g)
+            if d == 0.0:
+                raise DomainError("std-diff is not differentiable where it is zero")
+            nu = math.sqrt(nu2)
+            share = nu / d
+            slope = (1.0 if th[1] >= th[0] else -1.0) * share / math.sqrt(pooled)
+            return [-slope, slope, -(share * nu) / th[2]]
 
         def grad_gamma(th, g):
-            d = value(th, g)
-            nu2 = (th[1] - th[0]) ** 2 / th[2] ** 2
-            return [-nu2 / (4.0 * d)]
+            half, _, nu2, d = parts(th, g)
+            return [(-nu2 / (2.0 * half) + (2.0 / half - 2.0 / (1.0 + g[0]))) / (2.0 * d)]
 
         return Estimand("std-diff", value, grad_theta, grad_gamma)
 
@@ -1079,6 +1072,15 @@ def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
     )
 
 
+def _require_varying_response(y, design=None):
+    if np.min(y) == np.max(y):
+        raise DomainError(
+            "a constant response has no transform-regression MLE: at slope 0 the "
+            "likelihood keeps rising as sigma goes to 0, with the power going to "
+            "infinity for a positive response and to 0 for a negative one"
+        )
+
+
 def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
     """Centered no-intercept regression against the CDF-power transformation."""
 
@@ -1097,6 +1099,7 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         _centered,
         default_design=lambda n: uniform_grid_design(int(n)),
         narrow_fit_exact=lambda y, design: _least_squares(y, (_centered(design),)),
+        data_check=_require_varying_response,
         estimand_factories={"median-at": median_at},
         default_estimand="median-at",
     )

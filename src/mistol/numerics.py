@@ -190,15 +190,12 @@ class PartitionedInfo:
 
     j11 is the p x p block for the protected parameters, j22 the q x q block
     for the departure parameters, j12 the p x q cross block. The blocks may
-    carry a leading row axis, a stack of matrices (one per replication);
-    errors maps a row that could not be computed to its NumericsError, and
-    that row's blocks are NaN.
+    carry a leading row axis, a stack of matrices (one per replication).
     """
 
     j11: np.ndarray
     j12: np.ndarray
     j22: np.ndarray
-    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         j11 = _as_symmetric(self.j11, "narrow")
@@ -259,40 +256,27 @@ def rows_that_hold(evaluate, count: int):
     return (evaluate(rows) if rows.size else None), rows, errors
 
 
-def _chol_inverse(m: np.ndarray, block: str, errors: dict, scale=None) -> np.ndarray:
+def _chol_inverse(m: np.ndarray, block: str, scale=None) -> np.ndarray:
     """Inverses of a stack of SPD matrices via Cholesky.
 
-    A row that is not positive definite gets a SingularBlockError in errors
-    and NaN in the result; rows already in errors are skipped. scale is the
-    magnitude the pivots are judged against; for a Schur complement it must
-    be the size of the terms that were subtracted, since exact cancellation
-    can leave a rounding-level positive pivot that Cholesky happily accepts.
+    Raises SingularBlockError naming block if any row is not positive
+    definite. scale is the magnitude the pivots are judged against; for a
+    Schur complement it must be the size of the terms that were subtracted,
+    since exact cancellation can leave a rounding-level positive pivot that
+    Cholesky happily accepts.
     """
-    ident = np.eye(m.shape[-1])
-    live = np.array([r for r in range(len(m)) if r not in errors], dtype=int)
-
-    def factor(idx):
-        try:
-            return np.linalg.cholesky(m[live[idx]])
-        except np.linalg.LinAlgError as err:
-            raise SingularBlockError(block, str(err)) from None
-
-    factors, kept, alone = rows_that_hold(factor, live.size)
-    errors.update((int(live[r]), err) for r, err in alone.items())
-    c = np.empty_like(m)
-    c[:] = ident
-    c[live[kept]] = factors  # None only where no row is kept
+    try:
+        c = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as err:
+        raise SingularBlockError(block, str(err)) from None
     if scale is None:
         scale = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1)), axis=-1)
     pivots = np.min(np.diagonal(c, axis1=-2, axis2=-1), axis=-1) ** 2
-    for r in np.flatnonzero(pivots <= 1e-12 * np.maximum(scale, 1e-300)).tolist():
-        errors.setdefault(r, SingularBlockError(block, "singular to working precision"))
-    failed = [r in errors for r in range(len(m))]
-    c[failed] = ident
-    inv = np.linalg.solve(np.swapaxes(c, -1, -2), np.linalg.solve(c, np.broadcast_to(ident, m.shape)))
-    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    inv[failed] = np.nan
-    return inv
+    if np.any(pivots <= 1e-12 * np.maximum(scale, 1e-300)):
+        raise SingularBlockError(block, "singular to working precision")
+    ident = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+    inv = np.linalg.solve(np.swapaxes(c, -1, -2), np.linalg.solve(c, ident))
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -301,30 +285,25 @@ class PartitionedInverse:
 
     inv22 is the lower-right block of the full inverse: the limiting
     covariance of the departure-parameter estimator in the wide model.
-    inv11 and inv12 are the matching upper-left and cross blocks. For a
-    stacked info, errors maps each row that failed to its error.
+    inv11 and inv12 are the matching upper-left and cross blocks.
     """
 
     inv11: np.ndarray
     inv12: np.ndarray
     inv22: np.ndarray
     j11_inv: np.ndarray = field(repr=False)
-    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def partitioned_inverse(info: PartitionedInfo) -> PartitionedInverse:
     """Blockwise inverse via the Schur complement of the narrow block.
 
-    A single matrix raises SingularBlockError naming the offending block if
-    the narrow block or the Schur complement is not positive definite. A
-    stack is inverted row by row in one pass: a row that fails, or that
-    info already lists as failed, is NaN in every block and listed in
-    errors.
+    Raises SingularBlockError naming the offending block if the narrow
+    block or the Schur complement is not positive definite; for a stacked
+    info, if that holds for any row.
     """
     single = info.j11.ndim == 2
     j11, j12, j22 = (b[None] if single else b for b in (info.j11, info.j12, info.j22))
-    errors = dict(info.errors)
-    j11_inv = _chol_inverse(j11, "narrow", errors)
+    j11_inv = _chol_inverse(j11, "narrow")
     j21 = np.swapaxes(j12, -1, -2)
     subtracted = j21 @ j11_inv @ j12
     schur = j22 - subtracted
@@ -332,17 +311,12 @@ def partitioned_inverse(info: PartitionedInfo) -> PartitionedInverse:
         np.max(np.abs(np.diagonal(j22, axis1=-2, axis2=-1)), axis=-1),
         np.max(np.abs(np.diagonal(subtracted, axis1=-2, axis2=-1)), axis=-1),
     )
-    inv22 = _chol_inverse(0.5 * (schur + np.swapaxes(schur, -1, -2)), "schur", errors, schur_scale)
+    inv22 = _chol_inverse(0.5 * (schur + np.swapaxes(schur, -1, -2)), "schur", schur_scale)
     inv12 = -j11_inv @ j12 @ inv22
     inv11 = j11_inv + j11_inv @ j12 @ inv22 @ j21 @ j11_inv
     inv11 = 0.5 * (inv11 + np.swapaxes(inv11, -1, -2))
-    if single:
-        if errors:
-            raise errors[0]
-        return PartitionedInverse(inv11=inv11[0], inv12=inv12[0], inv22=inv22[0], j11_inv=j11_inv[0])
-    return PartitionedInverse(
-        inv11=inv11, inv12=inv12, inv22=inv22, j11_inv=j11_inv, errors=errors
-    )
+    blocks = (inv11, inv12, inv22, j11_inv)
+    return PartitionedInverse(*(b[0] if single else b for b in blocks))
 
 
 # ---------------------------------------------------------------------------

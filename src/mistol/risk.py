@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,13 @@ class LimitGeometry:
     bias_slope is the sensitivity of the focus to the departure after the
     best narrow-model adjustment; tau0_sq and tau_sq are the limiting
     variances of the narrow and wide estimators of the focus. For a stack
-    of narrow fits every field is an array over the rows, and errors maps
-    each row that failed a check to its NumericsError.
+    of narrow fits every field is an array over the rows.
     """
 
     bias_slope: float
     kappa: float
     tau0_sq: float
     tau_sq: float
-    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def tau0(self) -> float:
@@ -86,9 +84,7 @@ def limit_geometry(
 
     theta may also be a stack (R, p) of narrow fits, one per replication.
     Every check then runs on every row in one pass, the fields are arrays
-    over the rows, and a row that fails a check (singular block, information
-    not positive definite, routes disagree) is NaN and listed in errors
-    instead of raising.
+    over the rows, and the first row that fails a check raises.
     """
     if estimand is None:
         estimand = model.default_estimand
@@ -102,16 +98,10 @@ def limit_geometry(
     if info.q != 1:
         raise ValueError("limit geometry is defined for a scalar departure")
     inv = partitioned_inverse(info)
-    errors = dict(inv.errors)
     gamma0 = np.asarray(model.gamma0, dtype=float)
-    grad_theta = np.full(thetas.shape, np.nan)
-    grad_gamma = np.full((len(thetas), 1), np.nan)
+    grad_theta, grad_gamma = np.empty(thetas.shape), np.empty((len(thetas), 1))
     for r, row in enumerate(thetas):
-        if r not in errors:
-            try:
-                grad_theta[r], grad_gamma[r] = estimand.gradients(row, gamma0)
-            except NumericsError as err:
-                errors[r] = err
+        grad_theta[r], grad_gamma[r] = estimand.gradients(row, gamma0)
     j11_inv = inv.j11_inv
     narrow_dir = j11_inv @ grad_theta[..., None]
     adjusted = np.swapaxes(info.j12, -1, -2) @ narrow_dir
@@ -121,25 +111,20 @@ def limit_geometry(
     tau_sq = tau0_sq + b * b * kap_sq
 
     full_grad = np.concatenate([grad_theta, grad_gamma], axis=1)[..., None]
-    matrix = info.matrix
-    matrix[list(errors)] = np.eye(matrix.shape[-1])  # failed rows may be singular
-    sandwich = (np.swapaxes(full_grad, -1, -2) @ np.linalg.solve(matrix, full_grad))[:, 0, 0]
-    for r in np.flatnonzero(np.abs(sandwich - tau_sq) > 1e-6 * (1.0 + np.abs(tau_sq))).tolist():
-        errors.setdefault(r, NumericsError(
+    sandwich = (np.swapaxes(full_grad, -1, -2) @ np.linalg.solve(info.matrix, full_grad))[:, 0, 0]
+    disagree = np.flatnonzero(np.abs(sandwich - tau_sq) > 1e-6 * (1.0 + np.abs(tau_sq)))
+    if disagree.size:
+        r = disagree[0]
+        raise NumericsError(
             f"variance routes disagree for {model.name}/{estimand.name}: "
             f"{float(tau_sq[r])!r} vs {float(sandwich[r])!r}"
-        ))
+        )
     if single:
-        if errors:
-            raise errors[0]
         return LimitGeometry(
             bias_slope=float(b[0]), kappa=math.sqrt(kap_sq[0]),
             tau0_sq=float(tau0_sq[0]), tau_sq=float(tau_sq[0]),
         )
-    fields = (b, np.sqrt(kap_sq), tau0_sq, tau_sq)
-    for values in fields:
-        values[list(errors)] = np.nan
-    return LimitGeometry(*fields, errors=errors)
+    return LimitGeometry(b, np.sqrt(kap_sq), tau0_sq, tau_sq)
 
 
 # ---------------------------------------------------------------------------

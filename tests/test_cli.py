@@ -513,3 +513,11 @@ def test_gamma_constant_sample_is_a_usage_error(tmp_path):
     code, _, err = run_cli("estimate", "--model", "gamma-vs-exp", "--data", str(path))
     assert code == 2
     assert "a constant sample has no gamma MLE" in err
+
+
+def test_transform_regression_constant_response_is_a_usage_error(tmp_path):
+    path = tmp_path / "flat.dat"
+    path.write_text("".join(f"{x} 3.0\n" for x in range(40)))
+    code, _, err = run_cli("estimate", "--model", "transform-regression", "--data", str(path))
+    assert code == 2
+    assert "a constant response has no transform-regression MLE" in err

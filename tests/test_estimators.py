@@ -582,7 +582,9 @@ class TestStackedFits:
             model.sampler(theta, gamma, design, replication_rng(9, r)) for r in range(7)
         ])
         ys[3] = ys[3].mean()  # a degenerate row: outside the support, or no shape root
-        if model.data_check is not None:
+        if name == "transform-regression":
+            ys[5] = -1.0  # a constant response fails its data check
+        elif model.data_check is not None:
             ys[5, 0] = -1.0  # fails the data check
         exact = name == "weibull-vs-exp"
         for fit in (fit_narrow, fit_wide):
@@ -778,3 +780,16 @@ def test_gamma_constant_sample_is_rejected_fast(fit):
     assert time.perf_counter() - start < 0.02
     # the exponential narrow model of the Weibull pair has an MLE there
     assert fit_narrow(get_model("weibull-vs-exp"), np.full(40, 3.0), design).converged
+
+
+@pytest.mark.parametrize("fit", [fit_narrow, fit_wide])
+@pytest.mark.parametrize("level", [3.0, 1.234567, 0.1, -3.0])
+def test_transform_regression_constant_response_is_rejected_fast(fit, level):
+    # no wide MLE exists: at slope 0 the likelihood keeps rising toward
+    # sigma = 0, and the model's one data check rejects the narrow fit too
+    model = get_model("transform-regression")
+    design = model.default_design(40)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="a constant response has no transform-regression MLE"):
+        fit(model, np.full(40, level), design)
+    assert time.perf_counter() - start < 0.02

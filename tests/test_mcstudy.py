@@ -25,7 +25,13 @@ from mistol.mcstudy import (
     kappa_by_simulation,
 )
 from mistol.models import get_model, information_at_null
-from mistol.numerics import DomainError, NumericsError, PartitionedInfo, replication_rng
+from mistol.numerics import (
+    DomainError,
+    NumericsError,
+    PartitionedInfo,
+    partitioned_inverse,
+    replication_rng,
+)
 from mistol.risk import limit_geometry
 from mistol.tolerance import kappa
 
@@ -326,6 +332,42 @@ class TestRowFailures:
         count = int(np.sum(rates > threshold))
         with pytest.raises(StudyError, match=f"^{count} of 150 replications failed"):
             finite_sample_mse(self.config(model=singular_above_model(threshold)))
+
+
+def test_score_cov_failed_rows():
+    # a replication whose score covariance has a singular Schur block is
+    # counted and left out, as if each replication were taken alone
+    base = get_model("weibull-vs-exp")
+    n, seed, reps = 80, 41, 150
+    design = base.default_design(n)
+    theta0, gamma0 = np.array(base.theta0), np.array(base.gamma0)
+    draws = [
+        base.sampler(theta0, gamma0, design, replication_rng(seed, r)) for r in range(reps)
+    ]
+    means = np.sort([np.mean(y) for y in draws])
+    cut = 0.5 * (means[-1] + means[-2])  # affects the largest mean only
+
+    def score_null(y, design, theta):
+        u, v = base.score_null(y, design, theta)
+        return u, v * (0.0 if np.mean(y) > cut else 1.0)
+
+    model = dataclasses.replace(base, score_null=score_null)
+    config = StudyConfig(
+        model=model, n_list=(n,), replications=reps, seed=seed, kappa_method="score-cov"
+    )
+    result = kappa_by_simulation(config)
+    kappas = []
+    for y in draws:
+        theta = fit_narrow(model, y, design).theta
+        scores = np.column_stack(model.score_null(y, design, theta))
+        centered = scores - scores.mean(axis=0)
+        try:
+            inv = partitioned_inverse(PartitionedInfo.from_full(centered.T @ centered / n, 1))
+        except NumericsError:
+            continue
+        kappas.append(math.sqrt(inv.inv22[0, 0]))
+    assert result.failures == reps - len(kappas) == 1
+    assert result.kappa == float(np.mean(kappas))
 
 
 class TestFiniteSampleMse:

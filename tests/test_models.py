@@ -97,6 +97,28 @@ class TestInformationRoutes:
             for col in np.column_stack([u, v]).T:
                 assert abs(float(col @ weights)) < 1e-7, model.name
 
+    @pytest.mark.parametrize("name", list(MODEL_BUILDERS))
+    def test_null_scores_are_log_density_derivatives(self, name):
+        # each observation's hand-written score at (theta0, gamma0) is the
+        # central difference of its log density
+        model = get_model(name)
+        design = model.default_design(40)
+        theta = np.asarray(model.theta0, dtype=float)
+        gamma = np.asarray(model.gamma0, dtype=float)
+        y = model.sampler(theta, gamma, design, replication_rng(23, 0))
+        scores = np.column_stack(model.score_null(y, design, theta))
+        x, p = np.concatenate([theta, gamma]), theta.size
+        for j in range(x.size):
+            h = 1e-6 * (1.0 + abs(x[j]))
+            up, dn = x.copy(), x.copy()
+            up[j] += h
+            dn[j] -= h
+            diff = (
+                model.log_density(y, design, up[:p], up[p:])
+                - model.log_density(y, design, dn[:p], dn[p:])
+            ) / (2.0 * h)
+            assert np.allclose(scores[:, j], diff, rtol=1e-5, atol=1e-6), (name, j)
+
     def test_degenerate_design_raises(self):
         model = get_model("linreg-quadratic")
         with pytest.raises(NumericsError):
@@ -338,20 +360,36 @@ class TestNewtonPathArithmetic:
 
 class TestEstimandGradients:
     def test_closed_gradients_match_finite_differences(self):
+        # at the null point and at two points off it, where a gradient
+        # written for the null alone would go wrong
         for model in builtin_catalogue():
             design = small_design(model)
-            theta = np.asarray(model.theta0, dtype=float)
-            gamma = np.asarray(model.gamma0, dtype=float)
+            theta0 = np.asarray(model.theta0, dtype=float)
+            gamma0 = np.asarray(model.gamma0, dtype=float)
+            points = (
+                (theta0, gamma0),
+                (1.1 * theta0 + 0.1, gamma0 + 0.5),
+                (0.9 * theta0 - 0.05, gamma0 - 0.3),
+            )
             for name in model.estimand_names():
                 est = model.estimand(name, design)
-                gt, gg = est.gradients(theta, gamma)
-                p = theta.size
-                fd = central_gradient(
-                    lambda x: est(x[:p], x[p:]), np.concatenate([theta, gamma])
-                )
-                ft, fg = fd[:p], fd[p:]
-                assert np.allclose(gt, ft, rtol=1e-5, atol=1e-7), (model.name, name)
-                assert np.allclose(gg, fg, rtol=1e-5, atol=1e-7), (model.name, name)
+                for theta, gamma in points:
+                    gt, gg = est.gradients(theta, gamma)
+                    p = theta.size
+                    fd = central_gradient(
+                        lambda x: est(x[:p], x[p:]), np.concatenate([theta, gamma])
+                    )
+                    ft, fg = fd[:p], fd[p:]
+                    where = (model.name, name, theta.tolist(), gamma.tolist())
+                    assert np.allclose(gt, ft, rtol=1e-5, atol=1e-7), where
+                    assert np.allclose(gg, fg, rtol=1e-5, atol=1e-7), where
+
+
+    def test_std_diff_has_no_gradient_where_it_is_zero(self):
+        model = get_model("two-sample")
+        est = model.estimand("std-diff", small_design(model))
+        with pytest.raises(DomainError, match="not differentiable where it is zero"):
+            est.gradients(np.array([0.5, 0.5, 1.0]), np.array([0.0]))
 
 
 class TestDepartureScoreSize:

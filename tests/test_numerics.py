@@ -222,7 +222,7 @@ class TestPartitionedInverse:
             partitioned_inverse(PartitionedInfo(j11, j12, j22))
         assert err.value.block == "schur"
 
-    def test_stack_lists_failed_rows_and_matches_single_calls(self):
+    def test_stack_raises_a_failing_rows_error_and_matches_single_calls(self):
         rng = np.random.default_rng(77)
         fulls = []
         for _ in range(5):
@@ -230,21 +230,26 @@ class TestPartitionedInverse:
             fulls.append(root @ root.T + 3.0 * np.eye(3))
         fulls[1][:2, :2] = [[1.0, 1.0], [1.0, 1.0]]  # singular narrow block
         fulls[3][2, 2] = fulls[3][2, :2] @ np.linalg.solve(fulls[3][:2, :2], fulls[3][:2, 2])
-        stacked = partitioned_inverse(PartitionedInfo.from_full(np.array(fulls), 2))
-        assert sorted(stacked.errors) == [1, 3]
-        assert stacked.errors[1].block == "narrow"
-        assert stacked.errors[3].block == "schur"
-        for r, full in enumerate(fulls):
-            info = PartitionedInfo.from_full(full, 2)
-            if r in stacked.errors:
-                with pytest.raises(SingularBlockError) as err:
-                    partitioned_inverse(info)
-                assert str(err.value) == str(stacked.errors[r])
-                assert np.isnan(stacked.inv22[r]).all()
-                continue
-            single = partitioned_inverse(info)
+
+        def inverse(rows):
+            stack = np.array([fulls[r] for r in rows])
+            return partitioned_inverse(PartitionedInfo.from_full(stack, 2))
+
+        # the whole stack holds the singular-narrow row; without it, the
+        # singular-Schur row fails; each raises its own single call's error
+        for rows, failing, block in (([0, 1, 2, 3, 4], 1, "narrow"), ([0, 2, 3, 4], 3, "schur")):
+            with pytest.raises(SingularBlockError) as single:
+                partitioned_inverse(PartitionedInfo.from_full(fulls[failing], 2))
+            with pytest.raises(SingularBlockError) as stacked:
+                inverse(rows)
+            assert single.value.block == stacked.value.block == block
+            assert str(stacked.value) == str(single.value)
+        held = [0, 2, 4]
+        stacked = inverse(held)
+        for i, r in enumerate(held):
+            single = partitioned_inverse(PartitionedInfo.from_full(fulls[r], 2))
             for block in ("inv11", "inv12", "inv22", "j11_inv"):
-                assert np.array_equal(getattr(stacked, block)[r], getattr(single, block))
+                assert np.array_equal(getattr(stacked, block)[i], getattr(single, block))
 
     def test_symmetry_enforced(self):
         full = np.array([[1.0, 0.2], [0.3, 1.0]])

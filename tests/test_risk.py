@@ -107,7 +107,6 @@ class TestLimitGeometry:
             thetas = np.array([theta0 * (1.0 + s) + s for s in (0.0, 0.05, -0.05, 0.1)])
             for focus in model.estimand_names():
                 stacked = limit_geometry(model, design, focus, theta=thetas)
-                assert stacked.errors == {}, (name, focus)
                 for r, theta in enumerate(thetas):
                     single = limit_geometry(model, design, focus, theta=theta)
                     assert type(single.kappa) is float
@@ -116,7 +115,7 @@ class TestLimitGeometry:
                     want = (single.bias_slope, single.kappa, single.tau0_sq, single.tau_sq)
                     assert got == want, (name, focus, r)
 
-    def test_stacked_failure_is_listed_not_raised(self):
+    def test_stacked_failure_raises(self):
         base = get_model("weibull-vs-exp")
 
         def closed_information(theta, design):
@@ -131,12 +130,11 @@ class TestLimitGeometry:
         thetas = np.array([[1.0], [2.0], [1.2]])
         with pytest.raises(NumericsError, match="not positive definite"):
             limit_geometry(model, design, theta=thetas[1])
-        stacked = limit_geometry(model, design, theta=thetas)
-        assert list(stacked.errors) == [1]
-        assert "not positive definite" in str(stacked.errors[1])
-        assert math.isnan(stacked.kappa[1]) and math.isnan(stacked.bias_slope[1])
-        for r in (0, 2):
-            assert stacked.tau_sq[r] == limit_geometry(model, design, theta=thetas[r]).tau_sq
+        with pytest.raises(NumericsError, match="not positive definite"):
+            limit_geometry(model, design, theta=thetas)
+        stacked = limit_geometry(model, design, theta=thetas[[0, 2]])
+        for i, r in enumerate((0, 2)):
+            assert stacked.tau_sq[i] == limit_geometry(model, design, theta=thetas[r]).tau_sq
 
     def test_route_check_runs_on_every_row(self, monkeypatch):
         # the two variance routes agree for any consistent inverse, so skew
@@ -152,11 +150,12 @@ class TestLimitGeometry:
 
         monkeypatch.setattr(mistol.risk, "partitioned_inverse", skewed)
         thetas = np.array([[1.0], [1.3], [0.8]])
-        with pytest.raises(NumericsError, match="variance routes disagree"):
+        with pytest.raises(NumericsError, match="variance routes disagree") as single:
             limit_geometry(model, design, theta=thetas[1])
-        stacked = limit_geometry(model, design, theta=thetas)
-        assert list(stacked.errors) == [1]
-        assert "variance routes disagree" in str(stacked.errors[1])
+        with pytest.raises(NumericsError) as stacked:
+            limit_geometry(model, design, theta=thetas)
+        assert str(stacked.value) == str(single.value)
+        limit_geometry(model, design, theta=thetas[[0, 2]])
 
     def test_estimand_argument_forms(self):
         model = get_model("weibull-vs-exp")
