@@ -119,8 +119,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"--grid needs finite numbers, got {text!r}")
     if step <= 0.0 or stop < start:
         raise UsageError("grid needs step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
-    return np.linspace(start, stop, count)
+    span = (stop - start) / step
+    if span >= 1e7 - 0.5:  # more than 10^7 points, or a span too large to count
+        raise UsageError(f"--grid {text!r} asks for {span + 1.0:.4g} points, more than 1e7")
+    return np.linspace(start, stop, int(round(span)) + 1)
 
 
 def _parse_estimators(specs) -> list:
@@ -225,6 +227,8 @@ def _read_data(path: str):
                 raise UsageError(
                     f"data file line {lineno}: could not parse {text!r}"
                 ) from None
+            if not all(math.isfinite(v) for v in values):
+                raise UsageError(f"data file line {lineno}: non-finite number in {text!r}")
             ys.append(values[-1])
             rows.append(values[:-1])
     if not ys:
@@ -243,6 +247,14 @@ def cmd_estimate(ns) -> int:
     ests = _parse_estimators(ns.estimator or ["eb"])
     estimand_name = ns.estimand or model.default_estimand
     y, design = _read_data(ns.data)
+    width = 0 if design.rows is None else design.rows.shape[1]
+    default = model.default_design(design.n).rows
+    wanted = 0 if default is None else default.shape[1]
+    if width != wanted:
+        raise UsageError(
+            f"data file has {width} covariate column(s) before the response, "
+            f"but model {model.name!r} takes {wanted}"
+        )
     try:
         estimand = model.estimand(estimand_name, design)
     except KeyError as exc:

@@ -537,9 +537,9 @@ class FitResult:
     1e-8*(1+|loglik|).
 
     A fit of a stack (B, n) of samples holds one row per sample in params,
-    theta, gamma, loglik and grad_norm. errors maps each row that could not
-    be fitted or certified to its FitError or DomainError, and that row is
-    NaN. iterations is then the total over the rows (0 for closed fits).
+    theta, gamma, loglik and grad_norm, and iterations is the total over
+    the rows (0 for closed fits). Every row is fitted and certified: a
+    stack with a row that fails raises that row's error instead.
     """
 
     params: np.ndarray
@@ -549,7 +549,6 @@ class FitResult:
     iterations: int
     grad_norm: float
     method: str
-    errors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def converged(self):
@@ -632,29 +631,27 @@ def _checked_sample(model, y, design) -> np.ndarray:
     return y
 
 
-def _fit_result(model, wide, single, params, loglik, gnorm, iterations, method, errors):
-    """The FitResult of per-row values, each with a leading row axis.
-
-    A single sample raises row 0's error or unwraps row 0. A stack keeps
-    every row; a row listed in errors is NaN.
-    """
-    if single:
-        if errors:
-            raise errors[0]
-        params, loglik, gnorm = params[0], float(loglik[0]), float(gnorm[0])
-    else:
-        for r in errors:
-            params[r], loglik[r], gnorm[r] = np.nan, np.nan, np.nan
+def _fit_result(model, wide, params, loglik, gnorm, iterations, method):
+    """The FitResult of params, (k,) for one sample or (B, k) for a stack,
+    with loglik and gnorm a float or a (B,) array to match."""
     p = model.p
     return FitResult(
         params=params,
         theta=params[..., :p],
         gamma=params[..., p:] if wide else None,
-        loglik=loglik,
+        loglik=_float_or_array(loglik),
         iterations=iterations,
-        grad_norm=gnorm,
+        grad_norm=_float_or_array(gnorm),
         method=method,
-        errors=errors,
+    )
+
+
+def _stacked(model, wide, fits) -> FitResult:
+    """The single Newton fits in fits as one stacked FitResult."""
+    return _fit_result(
+        model, wide, np.array([one.params for one in fits]),
+        np.array([one.loglik for one in fits]), np.array([one.grad_norm for one in fits]),
+        sum(one.iterations for one in fits), "newton",
     )
 
 
@@ -667,7 +664,7 @@ def _agrees(a, b) -> bool:
 
 def _closed_point(model, y, design, exact, wide):
     """The closed-form fit of y, (n,) or (B, n), and the log-likelihood
-    x -> loglik(x, rows) of y (or of y[rows]) at params x, one per row."""
+    x -> loglik(x) of y at params x, one per row."""
     p = model.p
     if wide:
         theta, gamma = exact(y, design)
@@ -683,22 +680,28 @@ def _closed_point(model, y, design, exact, wide):
         )
     gamma0 = np.asarray(model.gamma0, dtype=float)
 
-    def loglik(x, rows=None):
-        ys = y if rows is None else y[rows]
+    def loglik(x):
         if wide:
             gamma = x[..., p:]
         else:
             gamma = gamma0 if x.ndim == 1 else np.broadcast_to(gamma0, (len(x), gamma0.size))
-        return np.sum(model.log_density(ys, design, x[..., :p], gamma), axis=-1)
+        return np.sum(model.log_density(y, design, x[..., :p], gamma), axis=-1)
 
     return params, loglik
 
 
-def _closed_values(model, y, design, exact, wide):
-    """(params, loglik, gradient norm) of the closed-form fits of y, (n,) or
-    (B, n), each with a leading row axis. A row outside the support gets no
-    gradient (NaN). For a stack, the last row is also fitted alone, and a
-    fit or log-likelihood that differs raises TypeError."""
+def _closed_fit(model, y, design, exact, wide) -> FitResult:
+    """Closed-form fits of one sample (n,) or of each row of a stack
+    (B, n): each row's data check, then one support check and one
+    central-difference gradient check over the whole stack.
+
+    The fit holds for every row or raises the error of the first row that
+    fails a check, word for word as that row alone would. For a stack, the
+    last row is also fitted alone, and a fit or log-likelihood that differs
+    raises TypeError.
+    """
+    for row in np.atleast_2d(y):
+        _checked_sample(model, row, design)
     params, loglik = _closed_point(model, y, design, exact, wide)
     ll = loglik(params)
     if y.ndim == 2:
@@ -709,70 +712,25 @@ def _closed_values(model, y, design, exact, wide):
                 "stack differently from that row alone; they must accept a "
                 "leading replication axis"
             )
-    ok = np.isfinite(np.atleast_1d(ll))
-    if ok.all():
-        grad = central_gradient(loglik, params)
-    else:
-        grad = np.full(np.atleast_2d(params).shape, np.nan)
-        if ok.any():
-            grad[ok] = central_gradient(lambda x: loglik(x, ok), params[ok])
-    norms = np.linalg.norm(grad, axis=-1)
-    return np.atleast_2d(params), np.atleast_1d(ll), np.atleast_1d(norms)
-
-
-def _closed_fit(model, y, design, exact, wide) -> FitResult:
-    """Closed-form fits of one sample (n,) or of each row of a stack
-    (B, n), each certified by one support check and one central-difference
-    gradient check.
-
-    A single sample raises the first failure. A stack lists each failing row
-    in errors; if the closed form raises on the stack, only the rows that
-    raise alone are dropped (numerics.rows_that_hold).
-    """
-    single = y.ndim < 2
-    rows = np.atleast_2d(y)
-    errors = {}
-    for r, row in enumerate(rows):
-        try:
-            _checked_sample(model, row, design)
-        except DomainError as err:
-            errors[r] = err
-    live = np.array([r for r in range(len(rows)) if r not in errors], dtype=int)
-    params = np.full((len(rows), model.p + model.q * wide), np.nan)
-    loglik, gnorm = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-    if single:  # a single sample stays 1-D and raises its own failure
-        if errors:
-            raise errors[0]
-        kept, values = live, _closed_values(model, y, design, exact, wide)
-    else:
-        values, kept, alone = rows_that_hold(
-            lambda idx: _closed_values(model, rows[live[idx]], design, exact, wide), live.size
-        )
-        errors.update((int(live[r]), err) for r, err in alone.items())
-        kept = live[kept]
-    if kept.size:
-        params[kept], loglik[kept], gnorm[kept] = values
-    outside = ~np.isfinite(loglik)
-    failing = outside | ~(gnorm <= 1e-8 * (1.0 + np.abs(loglik)))
     # A closed fit of a built-in lands outside the support only where its
     # fitted scale is exactly 0 or a variance ratio is 0/0, and its gradient
     # overflows at a finite log-likelihood only where the scale is rounding
     # noise: in both cases, as for a constant response.
     degenerate = "; the sample looks degenerate (a constant response or group?)"
-    for r in np.flatnonzero(failing).tolist():
-        if r in errors:
-            continue
-        if outside[r]:
-            errors[r] = FitError(
-                f"closed fit of {model.name!r} lands outside the likelihood support{degenerate}"
-            )
-        else:
-            hint = "" if np.isfinite(gnorm[r]) else degenerate
-            errors[r] = FitError(
-                f"closed fit of {model.name!r} reports gradient norm {gnorm[r]:.3e} "
-                f"above tolerance{hint}", [(float(loglik[r]), float(gnorm[r]))]
-            )
-    return _fit_result(model, wide, single, params, loglik, gnorm, 0, "closed", errors)
+    if not np.all(np.isfinite(ll)):
+        raise FitError(
+            f"closed fit of {model.name!r} lands outside the likelihood support{degenerate}"
+        )
+    gnorm = np.linalg.norm(central_gradient(loglik, params), axis=-1)
+    failing = np.flatnonzero(~(gnorm <= 1e-8 * (1.0 + np.abs(ll))))
+    if failing.size:
+        first_ll, first_gnorm = np.ravel(ll)[failing[0]], np.ravel(gnorm)[failing[0]]
+        hint = "" if np.isfinite(first_gnorm) else degenerate
+        raise FitError(
+            f"closed fit of {model.name!r} reports gradient norm {first_gnorm:.3e} "
+            f"above tolerance{hint}", [(float(first_ll), float(first_gnorm))]
+        )
+    return _fit_result(model, wide, params, ll, gnorm, 0, "closed")
 
 
 def _newton_fit(model, y, design, wide) -> FitResult:
@@ -791,45 +749,47 @@ def _newton_fit(model, y, design, wide) -> FitResult:
         return model.loglik(y, design, x[:p], x[p:])
 
     params, loglik, iterations, gnorm = maximize_loglik(objective, start)
-    return _fit_result(model, wide, True, params[None], [loglik], [gnorm], iterations, "newton", {})
+    return _fit_result(model, wide, params, loglik, gnorm, iterations, "newton")
 
 
 def _fit(model, y, design, wide) -> FitResult:
-    """The fit of y, (n,) or (B, n), by its one route: the closed form, a
-    Newton fit per row of a stack, or one Newton fit."""
+    """The fit of y, (n,) or (B, n), by its one route: the closed form, one
+    Newton fit, or one Newton fit per row of a stack, in order, raising the
+    first row's failure."""
     y = np.asarray(y, dtype=float)
     exact = model.wide_fit_exact if wide else model.narrow_fit_exact
     if exact is not None:
         return _closed_fit(model, y, design, exact, wide)
     if y.ndim == 2:
-        return fit_rows(fit_wide if wide else fit_narrow, model, y, design, wide)
+        fit = fit_wide if wide else fit_narrow
+        return _stacked(model, wide, [fit(model, row, design) for row in y])
     return _newton_fit(model, _checked_sample(model, y, design), design, wide)
 
 
-def fit_rows(fit, model: ModelSpec, y, design: Design, wide: bool) -> FitResult:
-    """fit on the stack y as one stacked FitResult.
+def fit_rows(fit, model: ModelSpec, y, design: Design, wide: bool) -> tuple:
+    """fit on each row of the stack y that holds: (the stacked FitResult of
+    the rows kept, or None if no row is, and their indices).
 
     fit is fit_narrow (wide False) or fit_wide (wide True), or a wrapper of
-    one. A closed-form fit takes the whole stack in one call. A Newton fit
-    is called on each row, and a row that raises a NumericsError is listed
-    in errors. The rows are separate calls so that each stays a fit of its
-    own: perfbench's per-fit spans and its failure ledger count them so.
+    one. This is the one place that leaves failing fit rows out. A closed
+    form fits the whole stack in one call when every row holds; otherwise
+    each row is fitted alone and the rows that hold are fitted again as one
+    stack (numerics.rows_that_hold). A Newton fit is called on each row, and
+    a row that raises a NumericsError is left out. The rows are separate
+    calls so that each stays a fit of its own: perfbench's per-fit spans and
+    its failure ledger count them so.
     """
     if (model.wide_fit_exact if wide else model.narrow_fit_exact) is not None:
-        return fit(model, y, design)
-    k = model.p + model.q * wide
-    params = np.full((len(y), k), np.nan)
-    loglik, gnorm = np.full(len(y), np.nan), np.full(len(y), np.nan)
-    errors, iterations = {}, 0
+        result, kept, _ = rows_that_hold(lambda rows: fit(model, y[rows], design), len(y))
+        return result, kept
+    fits, kept = [], []
     for r, row in enumerate(y):
         try:
-            one = fit(model, row, design)
-        except NumericsError as err:
-            errors[r] = err
+            fits.append(fit(model, row, design))
+        except NumericsError:
             continue
-        params[r], loglik[r], gnorm[r] = one.params, one.loglik, one.grad_norm
-        iterations += one.iterations
-    return _fit_result(model, wide, False, params, loglik, gnorm, iterations, "newton", errors)
+        kept.append(r)
+    return (_stacked(model, wide, fits) if fits else None), np.array(kept, dtype=int)
 
 
 def fit_narrow(model: ModelSpec, y, design: Design) -> FitResult:
@@ -837,7 +797,8 @@ def fit_narrow(model: ModelSpec, y, design: Design) -> FitResult:
 
     y may also be a stack (B, n) of samples on the same design: a closed
     form then fits and certifies the whole stack in one pass of array
-    operations, and a Newton fit runs row by row (see FitResult).
+    operations, and a Newton fit runs row by row. A stacked fit holds for
+    every row or raises (see FitResult; fit_rows leaves failing rows out).
     """
     return _fit(model, y, design, wide=False)
 

@@ -6,10 +6,11 @@ limit-experiment prediction, and measure confidence-interval coverage
 under root-n departures. Replication r always draws from a stream keyed
 by (seed, r). The replications of a study cell are drawn and fitted in
 blocks of BLOCK_ROWS consecutive replications, in order, and each block is
-dropped once fitted. A model with a closed-form fit fits and certifies a
-whole block in one stacked call; a Newton fit runs one replication at a
-time. No replication's result depends on the others in its block.
-Everything after the fits (the plug-in geometry with its checks, z
+dropped once fitted. estimators.fit_rows fits a block and leaves out the
+replications that fail: a closed-form fit takes the whole block in one
+call, and each replication alone only if that call raises; a Newton fit
+runs one replication at a time. No replication's result depends on the
+others in its block. Everything after the fits (the plug-in geometry with its checks, z
 statistics, compromise estimates, coverage indicators, plug-in kappas) is
 then evaluated once for the whole cell, on arrays over the replication
 axis. A replication that fails at any stage is counted and left out. The
@@ -169,13 +170,6 @@ def _draw(config: StudyConfig, r: int, gamma, design):
     return model.sampler(np.asarray(model.theta0, dtype=float), gamma, design, rng)
 
 
-def _fit_block(fit, model: ModelSpec, ys, design, wide: bool):
-    """fit (fit_narrow or fit_wide) on a block of draws through fit_rows,
-    and the rows it kept."""
-    result = fit_rows(fit, model, ys, design, wide)
-    return result, [i for i in range(len(ys)) if i not in result.errors]
-
-
 # ---------------------------------------------------------------------------
 # kappa by simulation
 
@@ -211,11 +205,11 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
 
     if method == "score-cov":
         def score_covariances(ys):
-            narrow, kept = _fit_block(fit_narrow, model, ys, design, wide=False)
+            narrow, kept = fit_rows(fit_narrow, model, ys, design, wide=False)
             out = []
-            for i in kept:
+            for j, i in enumerate(kept):
                 try:
-                    scores = np.column_stack(model.score_null(ys[i], design, narrow.theta[i]))
+                    scores = np.column_stack(model.score_null(ys[i], design, narrow.theta[j]))
                 except NumericsError:
                     continue
                 centered = scores - scores.mean(axis=0)
@@ -239,8 +233,8 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
         )
 
     def wide_params(ys):
-        wide, kept = _fit_block(fit_wide, model, ys, design, wide=True)
-        return wide.params[kept]
+        wide, _ = fit_rows(fit_wide, model, ys, design, wide=True)
+        return [] if wide is None else wide.params
 
     params = np.array(_fit_each(config, gamma0, design, wide_params))
     failures = _checked_failures(config, reps - len(params))
@@ -331,19 +325,17 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
     gamma_true = gamma0 + delta / math.sqrt(n)
 
     def fit_both(ys):
-        narrow, kept = _fit_block(fit_narrow, model, ys, design, wide=False)
-        if not kept:
-            return []
-        wide, kept_wide = _fit_block(fit_wide, model, ys[kept], design, wide=True)
+        narrow, kept = fit_rows(fit_narrow, model, ys, design, wide=False)
+        wide, kept_wide = fit_rows(fit_wide, model, ys[kept], design, wide=True)
         out = []
-        for i in kept_wide:
-            theta = narrow.theta[kept[i]]
+        for j, i in enumerate(kept_wide):
+            theta = narrow.theta[i]
             try:
                 out.append((
                     theta,
-                    float(wide.gamma[i, 0]),
+                    float(wide.gamma[j, 0]),
                     estimand(theta, gamma0),
-                    estimand(wide.theta[i], wide.gamma[i]),
+                    estimand(wide.theta[j], wide.gamma[j]),
                 ))
             except NumericsError:
                 pass

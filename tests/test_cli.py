@@ -192,6 +192,7 @@ def weibull_data(tmp_path):
     (("risk", "--loss", "l1:nan"), "--loss"),
     (("risk", "--loss", "l1:inf"), "--loss"),
     (("risk", "--grid", "0:nan:0.1"), "--grid"),
+    (("risk", "--grid", "0:1e9:1e-9"), "1e+18 points"),
 ])
 def test_numbers_outside_their_range_are_usage_errors(argv, name, capsys):
     try:
@@ -247,7 +248,7 @@ class TestEstimateCommand:
         assert code == 3
         assert "numerical failure" in err
 
-    def test_data_file_errors(self, tmp_path):
+    def test_data_file_errors(self, tmp_path, capsys):
         code, _, err = run_cli(
             "estimate", "--model", "weibull-vs-exp", "--data", str(tmp_path / "void.dat")
         )
@@ -266,6 +267,31 @@ class TestEstimateCommand:
         )
         assert code == 2
         assert "inconsistent" in err
+
+        def estimate(model, data):  # in-process: exit code, stdout, stderr
+            code = cli.main(["estimate", "--model", model, "--data", str(data)])
+            return (code, *capsys.readouterr())
+
+        for line in ("0.2 nan", "inf 1.5"):
+            odd = tmp_path / "odd.dat"
+            odd.write_text(f"0.1 1.0\n# comment\n{line}\n0.3 2.0\n0.4 0.5\n")
+            code, out, err = estimate("linreg-quadratic", odd)
+            assert (code, out) == (2, "")
+            assert "line 3: non-finite number" in err
+        # a file whose covariate columns are not the model's names both counts
+        one_column = tmp_path / "one.dat"
+        one_column.write_text("0\n1\n1\n0\n1\n0\n")
+        two_columns = tmp_path / "two.dat"
+        two_columns.write_text("0.1 1.2\n0.5 0.7\n0.9 2.3\n1.3 0.4\n")
+        for model, data, has, takes in (
+            ("logistic-quadratic", one_column, 0, 1),
+            ("linreg-covariate", two_columns, 1, 2),
+            ("weibull-vs-exp", two_columns, 1, 0),
+        ):
+            code, out, err = estimate(model, data)
+            assert (code, out) == (2, ""), (model, err)
+            assert f"has {has} covariate column(s)" in err, err
+            assert f"model {model!r} takes {takes}" in err, err
 
 
 def study_ini(tmp_path, text, name="study.ini"):

@@ -23,6 +23,7 @@ from mistol.estimators import (
     epsilon_bayes,
     estimator_names,
     fit_narrow,
+    fit_rows,
     fit_wide,
     harmonic_compromise,
     linear,
@@ -543,34 +544,46 @@ def single_outcome(fit, model, y, design):
         return err
 
 
+def raised(fit, model, ys, design):
+    with pytest.raises(NumericsError) as info:
+        fit(model, ys, design)
+    return type(info.value), str(info.value)
+
+
 def assert_rows_equal_single_calls(fit, model, ys, design, exact):
-    stacked = fit(model, ys, design)
-    assert stacked.params.shape[0] == len(ys)
-    for r, y in enumerate(ys):
-        one = single_outcome(fit, model, y, design)
-        if isinstance(one, NumericsError):
-            got = stacked.errors[r]
-            assert (type(got), str(got)) == (type(one), str(one)), (model.name, r)
-            assert np.all(np.isnan(stacked.params[r]))
-            continue
-        assert r not in stacked.errors, (model.name, r)
+    """A stack with failing rows raises one of their single-call errors; the
+    rows that hold plus any one failing row raise that row's single-call
+    error word for word; and the stack of the rows that hold equals their
+    single calls. Returns that stacked fit and the rows that hold."""
+    ones = [single_outcome(fit, model, y, design) for y in ys]
+    held = [r for r, one in enumerate(ones) if not isinstance(one, NumericsError)]
+    failures = {r: (type(one), str(one)) for r, one in enumerate(ones) if r not in held}
+    if failures:
+        assert raised(fit, model, ys, design) in failures.values(), model.name
+    for r, want in failures.items():
+        assert raised(fit, model, ys[sorted(held + [r])], design) == want, (model.name, r)
+    stacked = fit(model, ys[held], design)
+    assert stacked.params.shape[0] == len(held)
+    for j, r in enumerate(held):
+        one = ones[r]
         if exact:
-            assert np.array_equal(stacked.params[r], one.params)
-            assert stacked.loglik[r] == one.loglik
-            assert stacked.grad_norm[r] == one.grad_norm
+            assert np.array_equal(stacked.params[j], one.params)
+            assert stacked.loglik[j] == one.loglik
+            assert stacked.grad_norm[j] == one.grad_norm
         else:
             scale = np.max(np.abs(one.params))
-            assert np.max(np.abs(stacked.params[r] - one.params)) <= 1e-12 * scale
-            assert stacked.loglik[r] == pytest.approx(one.loglik, rel=1e-12, abs=0.0)
-        assert np.array_equal(stacked.theta[r], stacked.params[r, :model.p])
+            assert np.max(np.abs(stacked.params[j] - one.params)) <= 1e-12 * scale
+            assert stacked.loglik[j] == pytest.approx(one.loglik, rel=1e-12, abs=0.0)
+        assert np.array_equal(stacked.theta[j], stacked.params[j, :model.p])
         if stacked.gamma is not None:
-            assert np.array_equal(stacked.gamma[r], stacked.params[r, model.p:])
-    return stacked
+            assert np.array_equal(stacked.gamma[j], stacked.params[j, model.p:])
+    return stacked, held
 
 
 class TestStackedFits:
     """A stack (B, n) of samples is fitted row by row exactly as each row
-    is fitted alone, with every check applied per row."""
+    is fitted alone, with every check applied per row: it holds for every
+    row or raises a failing row's own error."""
 
     @pytest.mark.parametrize("name", CLOSED_FORM_MODELS)
     def test_rows_equal_single_calls(self, name):
@@ -588,16 +601,15 @@ class TestStackedFits:
             ys[5, 0] = -1.0  # fails the data check
         exact = name == "weibull-vs-exp"
         for fit in (fit_narrow, fit_wide):
-            stacked = assert_rows_equal_single_calls(fit, model, ys, design, exact)
-            assert stacked.iterations == sum(
-                one.iterations for one in (single_outcome(fit, model, y, design) for y in ys)
-                if not isinstance(one, NumericsError)
-            )
+            stacked, held = assert_rows_equal_single_calls(fit, model, ys, design, exact)
+            assert stacked.iterations == sum(fit(model, ys[r], design).iterations for r in held)
             closed = (model.wide_fit_exact if fit is fit_wide else model.narrow_fit_exact)
             if closed is not None:
                 assert stacked.method == "closed" and stacked.iterations == 0
             if model.data_check is not None:
-                assert isinstance(stacked.errors[5], DomainError)
+                assert 5 not in held
+                with pytest.raises(DomainError):
+                    fit(model, ys[[0, 5]], design)
 
     def test_weibull_degenerate_row_keeps_its_messages(self):
         model = get_model("weibull-vs-exp")
@@ -609,10 +621,11 @@ class TestStackedFits:
         ys[2] = 2.0  # every shape fits better: the profile equation has no root
         with pytest.raises(NumericsError, match="could not be bracketed"):
             fit_wide(model, ys[2], design)
-        stacked = fit_wide(model, ys, design)
-        assert list(stacked.errors) == [2]
-        assert "could not be bracketed" in str(stacked.errors[2])
-        assert stacked.converged[[0, 1, 3, 4]].all() and not stacked.converged[2]
+        with pytest.raises(NumericsError, match="could not be bracketed"):
+            fit_wide(model, ys, design)
+        assert fit_wide(model, ys[[0, 1, 3, 4]], design).converged.all()
+        stacked, kept = fit_rows(fit_wide, model, ys, design, wide=True)
+        assert kept.tolist() == [0, 1, 3, 4] and stacked.converged.all()
 
     @pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 4.0, 50.0])
     def test_weibull_shape_matches_brentq_oracle(self, shape):
@@ -671,9 +684,10 @@ class TestStackedFits:
         model = dataclasses.replace(base, wide_fit_exact=off_optimum)
         with pytest.raises(FitError, match="above tolerance"):
             fit_wide(model, ys[off], design)
-        stacked = assert_rows_equal_single_calls(fit_wide, model, ys, design, exact=True)
-        assert list(stacked.errors) == [off]
-        assert "above tolerance" in str(stacked.errors[off])
+        _, held = assert_rows_equal_single_calls(fit_wide, model, ys, design, exact=True)
+        assert held == [r for r in range(len(ys)) if r != off]
+        with pytest.raises(FitError, match="above tolerance"):
+            fit_wide(model, ys, design)
 
     def test_row_zero_parameters_are_caught(self):
         base = get_model("weibull-vs-exp")
@@ -712,9 +726,85 @@ class TestStackedFits:
             for r in range(3)
         ])
         for fit in (fit_narrow, fit_wide):
-            stacked = assert_rows_equal_single_calls(fit, model, ys, design, exact=True)
-            assert stacked.method == "newton"
+            stacked, held = assert_rows_equal_single_calls(fit, model, ys, design, exact=True)
+            assert held == [0, 1, 2] and stacked.method == "newton"
             assert stacked.iterations == sum(fit(model, y, design).iterations for y in ys)
+
+        def check_first_value(y, design):  # names the sample by its first value
+            if y[0] > 1.0:
+                raise DomainError(f"sample starting {y[0]:g} rejected")
+
+        picky = dataclasses.replace(model, data_check=check_first_value)
+        bad = ys.copy()
+        bad[1, 0], bad[2, 0] = 2.0, 3.0
+        for fit in (fit_narrow, fit_wide):  # the first failing row is raised
+            with pytest.raises(DomainError, match="^sample starting 2 rejected$"):
+                fit(picky, bad, design)
+
+
+def counted(fit):
+    """fit, recording the number of rows of each call."""
+    calls = []
+
+    def wrapper(model, y, design):
+        calls.append(len(np.atleast_2d(y)))
+        return fit(model, y, design)
+
+    return wrapper, calls
+
+
+class TestFitRows:
+    """fit_rows keeps exactly the rows that a fit one at a time keeps, and
+    its stacked result equals those single fits."""
+
+    def draws(self, model, n, count, seed):
+        design = model.default_design(n)
+        theta = np.asarray(model.theta0, dtype=float)
+        gamma = np.asarray(model.gamma0, dtype=float) + 0.1
+        return design, np.array([
+            model.sampler(theta, gamma, design, replication_rng(seed, r)) for r in range(count)
+        ])
+
+    @pytest.mark.parametrize("name, bad", [
+        ("weibull-vs-exp", -1.0), ("logistic-quadratic", 0.5),
+    ])
+    def test_one_failing_row_is_left_out(self, name, bad):
+        model = get_model(name)
+        design, ys = self.draws(model, 60, 5, 13)
+        ys[2, 0] = bad  # fails the data check
+        closed = model.narrow_fit_exact is not None
+        for fit, wide in ((fit_narrow, False), (fit_wide, True)):
+            wrapper, calls = counted(fit)
+            stacked, kept = fit_rows(wrapper, model, ys, design, wide)
+            assert kept.tolist() == [0, 1, 3, 4]
+            assert calls == ([5, 1, 1, 1, 1, 1, 4] if closed else [1] * 5)
+            for j, r in enumerate(kept):
+                one = fit(model, ys[r], design)
+                assert np.array_equal(stacked.params[j], one.params)
+                assert stacked.loglik[j] == one.loglik
+                assert stacked.grad_norm[j] == one.grad_norm
+            assert stacked.iterations == sum(fit(model, ys[r], design).iterations for r in kept)
+
+    @pytest.mark.parametrize("name", ["weibull-vs-exp", "logistic-quadratic"])
+    def test_a_block_that_holds_is_one_call_per_fit(self, name):
+        model = get_model(name)
+        design, ys = self.draws(model, 60, 4, 17)
+        wrapper, calls = counted(fit_narrow)
+        stacked, kept = fit_rows(wrapper, model, ys, design, wide=False)
+        assert kept.tolist() == [0, 1, 2, 3] and stacked.params.shape[0] == 4
+        assert calls == ([4] if model.narrow_fit_exact is not None else [1] * 4)
+
+    @pytest.mark.parametrize("name", ["weibull-vs-exp", "logistic-quadratic"])
+    def test_a_block_in_which_no_row_holds(self, name):
+        model = get_model(name)
+        design, ys = self.draws(model, 60, 3, 19)
+        ys[:, 0] = -1.0
+        for fit, wide in ((fit_narrow, False), (fit_wide, True)):
+            for y in ys:
+                with pytest.raises(DomainError):
+                    fit(model, y, design)
+            stacked, kept = fit_rows(fit, model, ys, design, wide)
+            assert stacked is None and kept.size == 0
 
 
 class TestNewtonFitPins:
