@@ -37,16 +37,16 @@ class AEstimator:
 
     c0 is the continuation value of the weight at z = 0 (the limit of
     a_hat(z)/z). Non-smooth rules list their kink/jump locations in knots so
-    quadrature can split there. elementwise is False for a rule whose a_fn
-    couples the entries of an array (a quadrature stop or a failure shared
-    by all of them); c then takes such an array entry by entry, so that one
+    quadrature can split there; a rule without knots is integrated as a
+    smooth one. elementwise is False for a rule whose a_fn couples the
+    entries of an array (a quadrature stop or a failure shared by all of
+    them); c then takes such an array entry by entry, so that one
     replication's weight never depends on the others in its batch.
     """
 
     name: str
     a_fn: Callable = field(repr=False)
     c0: float
-    smooth: bool = True
     knots: tuple = ()
     params: tuple = ()  # ordered (key, value) pairs
     elementwise: bool = True
@@ -101,7 +101,6 @@ def pretest(m: float = 1.0) -> AEstimator:
         "pretest",
         lambda z: np.where(np.abs(z) >= m, z, 0.0),
         c0=0.0,
-        smooth=False,
         knots=(-m, m),
         params=(("m", m),),
     )
@@ -223,7 +222,6 @@ def restricted(m: float = 1.0) -> AEstimator:
         "restricted",
         lambda z: np.clip(z, -m, m),
         c0=1.0,
-        smooth=False,
         knots=(-m, m),
         params=(("m", m),),
     )
@@ -237,7 +235,6 @@ def efron_morris(m: float = 0.502) -> AEstimator:
         "efron_morris",
         lambda z: np.sign(z) * np.maximum(np.abs(z) - m, 0.0),
         c0=0.0,
-        smooth=False,
         knots=(-m, m),
         params=(("m", m),),
     )
@@ -283,7 +280,7 @@ def mlplus() -> AEstimator:
         z2 = z * z
         return np.where(z2 > 1.0, z - z / np.where(z2 > 1.0, z2, 1.0), 0.0)
 
-    return AEstimator("mlplus", a_fn, c0=0.0, smooth=False, knots=(-1.0, 1.0))
+    return AEstimator("mlplus", a_fn, c0=0.0, knots=(-1.0, 1.0))
 
 
 def qtilde(l: float = 0.5) -> AEstimator:
@@ -300,7 +297,6 @@ def qtilde(l: float = 0.5) -> AEstimator:
         "qtilde",
         a_fn,
         c0=0.0,
-        smooth=l == 0.0,
         knots=() if root is None else (-root, root),
         params=(("l", l),),
     )

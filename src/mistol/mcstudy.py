@@ -90,6 +90,8 @@ class StudyConfig:
             raise ValueError("worker count must be at least 1")
         if not self.delta_grid or not self.n_list:
             raise ValueError("delta grid and n list must be nonempty")
+        if self.model.q != 1:
+            raise ValueError("Monte Carlo studies support a scalar departure only")
 
     def design_for(self, n: int) -> Design:
         if self.design_factory is not None:
@@ -199,7 +201,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     n = int(config.n_list[0])
     design = config.design_for(n)
     gamma0 = np.asarray(model.gamma0, dtype=float)
-    p, q = model.p, model.q
+    p = model.p
     method = config.kappa_method
     reps = config.replications
 
@@ -221,7 +223,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
             lambda rows: partitioned_inverse(PartitionedInfo.from_full(infos[rows], p)), len(infos)
         )
         failures = _checked_failures(config, reps - len(kept))
-        kappas = np.sqrt(inv.inv22[:, 0, 0]) if q == 1 else inv.inv22
+        kappas = np.sqrt(inv.inv22[:, 0, 0])
         return KappaStudy(
             method=method,
             n=n,
@@ -240,10 +242,8 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     failures = _checked_failures(config, reps - len(params))
     scaled = None
     if method == "full-ml-cov":
-        scaled = n * np.cov(params.T, ddof=1).reshape(p + q, p + q)
-        kap = math.sqrt(float(scaled[p, p])) if q == 1 else math.sqrt(
-            float(np.linalg.det(scaled[p:, p:]) ** (1.0 / q))
-        )
+        scaled = n * np.cov(params.T, ddof=1).reshape(p + 1, p + 1)
+        kap = math.sqrt(float(scaled[p, p]))
     else:
         kap = float(np.std(math.sqrt(n) * (params[:, p] - gamma0[0]), ddof=1))
     return KappaStudy(
@@ -319,8 +319,6 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
     them, block by block, then evaluate the plug-in geometry at all the
     narrow fits at once. A row whose narrow fit fails gets no wide fit."""
     model = config.model
-    if model.q != 1:
-        raise ValueError("MSE and coverage studies support a scalar departure only")
     gamma0 = np.asarray(model.gamma0, dtype=float)
     gamma_true = gamma0 + delta / math.sqrt(n)
 

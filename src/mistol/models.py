@@ -181,7 +181,8 @@ class ModelSpec:
       null_quadrature(theta, design) -> (ymat, wmat), each (n, K): nodes and
           probability weights for integrating against each observation's
           null conditional distribution (weights sum to 1 per row)
-      closed_information(theta, design) -> PartitionedInfo, when available
+      closed_information(theta, design) -> (p+q, p+q) per-observation
+          information matrix at (theta, gamma0), an array, when available
       narrow_fit_exact(y, design) -> theta_hat, when the narrow MLE is closed
       wide_fit_exact(y, design) -> (theta_hat, gamma_hat), likewise
       data_check(y, design) -> None, raising DomainError on bad data
@@ -241,30 +242,29 @@ def information_at_null(model: ModelSpec, design: Design, theta=None) -> Partiti
     """Per-observation information of the wide model at (theta, gamma0).
 
     Uses the model's closed form when registered, otherwise averages
-    score outer products against the null quadrature. theta may also be a
-    stack (R, p) of parameter rows: the blocks then carry a leading row
-    axis. Raises NumericsError if the information (of any row) is not
-    positive definite.
+    score outer products against the null quadrature; either gives one
+    (p+q, p+q) matrix per parameter row. theta may also be a stack (R, p)
+    of parameter rows: the blocks then carry a leading row axis. Raises
+    ValueError if a matrix has the wrong shape or is not symmetric, and
+    NumericsError if the information (of any row) is not positive definite.
     """
     theta = np.asarray(model.theta0 if theta is None else theta, dtype=float)
     rows = theta if theta.ndim == 2 else theta[None]
     information = model.closed_information or (
         lambda row, design: information_generic(model, design, row)
     )
-    infos = [information(row, design) for row in rows]
-    p, q = model.p, model.q
-    stacked = PartitionedInfo(
-        np.reshape([info.j11 for info in infos], (-1, p, p)),
-        np.reshape([info.j12 for info in infos], (-1, p, q)),
-        np.reshape([info.j22 for info in infos], (-1, q, q)),
-    )
-    eigs = np.linalg.eigvalsh(stacked.matrix)
-    if np.any(eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1.0)):
+    full = np.array([information(row, design) for row in rows])
+    k = model.p + model.q
+    if full.shape[1:] != (k, k):
+        raise ValueError(f"{model.name!r} information must be ({k}, {k}), not {full.shape[1:]}")
+    info = PartitionedInfo.from_full(full if theta.ndim == 2 else full[0], model.p)
+    eigs = np.linalg.eigvalsh(info.matrix)
+    if np.any(eigs[..., 0] <= 1e-12 * np.maximum(eigs[..., -1], 1.0)):
         raise NumericsError(
             f"information matrix for {model.name!r} is not positive definite; "
             "the design may be too small or a score function misdeclared"
         )
-    return stacked if theta.ndim == 2 else infos[0]
+    return info
 
 
 def _null_scores(model: ModelSpec, design: Design, theta):
@@ -277,12 +277,13 @@ def _null_scores(model: ModelSpec, design: Design, theta):
     return np.atleast_2d(u.T).T, np.atleast_2d(v.T).T, np.ravel(wmat) / design.n
 
 
-def information_generic(model: ModelSpec, design: Design, theta=None) -> PartitionedInfo:
-    """Information by quadrature: average E[s s'] over the design rows."""
+def information_generic(model: ModelSpec, design: Design, theta=None) -> np.ndarray:
+    """Information by quadrature: the (p+q, p+q) average of E[s s'] over
+    the design rows, the matrix a closed_information returns."""
     u, v, w = _null_scores(model, design, theta)
     scores = np.hstack([u, v])
     full = scores.T @ (scores * w[:, None])
-    return PartitionedInfo.from_full(0.5 * (full + full.T), model.p)
+    return 0.5 * (full + full.T)
 
 
 def mean_abs_departure_score(model: ModelSpec, design: Design, theta=None) -> np.ndarray:
@@ -433,10 +434,8 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
 
     def closed_information(theta, design):
         th = float(theta[0])
-        j11 = np.array([[1.0 / th**2]])
-        j12 = np.array([[(1.0 - EULER_GAMMA) / th]])
-        j22 = np.array([[math.pi**2 / 6.0 + (1.0 - EULER_GAMMA) ** 2]])
-        return PartitionedInfo(j11, j12, j22)
+        j12 = (1.0 - EULER_GAMMA) / th
+        return np.array([[1.0 / th**2, j12], [j12, math.pi**2 / 6.0 + (1.0 - EULER_GAMMA) ** 2]])
 
     def sampler(theta, gamma, design, rng):
         th, g = float(theta[0]), float(gamma[0])
@@ -554,9 +553,7 @@ def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
 
     def closed_information(theta, design):
         th = float(theta[0])
-        return PartitionedInfo(
-            [[1.0 / th**2]], [[-1.0 / th]], [[math.pi**2 / 6.0]]
-        )
+        return np.array([[1.0 / th**2, -1.0 / th], [-1.0 / th, math.pi**2 / 6.0]])
 
     def sampler(theta, gamma, design, rng):
         return rng.gamma(float(gamma[0]), 1.0 / float(theta[0]), design.n)
@@ -617,7 +614,7 @@ def _mean_departure(name: str, param_names, theta0, columns, **fields) -> ModelS
         full = np.zeros((p + 1, p + 1))
         full[0, 0] = 2.0
         full[1:, 1:] = _mean_products(cols + (z,))
-        return PartitionedInfo.from_full(full / float(theta[0]) ** 2, p)
+        return full / float(theta[0]) ** 2
 
     def sampler(theta, gamma, design, rng):
         cols, z = columns(design)
@@ -762,7 +759,7 @@ def _variance_departure(name: str, param_names, theta0, columns, scale_at: int,
         full[scale_at, scale_at] = 2.0 / s**2
         full[scale_at, p] = full[p, scale_at] = float(np.mean(w)) / s
         full[p, p] = float(np.mean(w * w)) / 2.0
-        return PartitionedInfo.from_full(full, p)
+        return full
 
     def sampler(theta, gamma, design, rng):
         cols, w = columns(design)
@@ -1007,9 +1004,12 @@ def _cdf_power(name: str, param_names, theta0, column, **fields) -> ModelSpec:
     def closed_information(theta, design):
         c, s = column(design), float(theta[0])
         a, b = transformation_constants()
-        j11 = np.array([[2.0 / s**2, 0.0], [0.0, float(np.mean(c * c)) / s**2]])
-        j12 = np.array([[b / s], [a * float(np.mean(c)) / s]])
-        return PartitionedInfo(j11, j12, np.array([[1.0]]))
+        j12 = (b / s, a * float(np.mean(c)) / s)
+        return np.array([
+            [2.0 / s**2, 0.0, j12[0]],
+            [0.0, float(np.mean(c * c)) / s**2, j12[1]],
+            [j12[0], j12[1], 1.0],
+        ])
 
     def sampler(theta, gamma, design, rng):
         z = std_normal_quantile(rng.random(design.n) ** (1.0 / float(gamma[0])))
@@ -1147,8 +1147,7 @@ def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         p = null_probs(design, theta)
         w = p * (1.0 - p)
         cols = np.column_stack([np.ones_like(t), t, t * t])
-        full = (cols * w[:, None]).T @ cols / design.n
-        return PartitionedInfo.from_full(full, 2)
+        return (cols * w[:, None]).T @ cols / design.n
 
     def prob_at(design, x0=None):
         t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
@@ -1209,15 +1208,13 @@ def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         p = null_probs(design, theta)
         logp = np.log(p)
         w = p * (1.0 - p)
-        j11 = np.array(
-            [
-                [float(np.mean(w)), float(np.mean(w * x))],
-                [float(np.mean(w * x)), float(np.mean(w * x * x))],
-            ]
-        )
-        j12 = np.array([[float(np.mean(p * logp))], [float(np.mean(p * logp * x))]])
-        j22 = np.array([[float(np.mean(p * logp**2 / (1.0 - p)))]])
-        return PartitionedInfo(j11, j12, j22)
+        wx = float(np.mean(w * x))
+        plogp, plogp_x = float(np.mean(p * logp)), float(np.mean(p * logp * x))
+        return np.array([
+            [float(np.mean(w)), wx, plogp],
+            [wx, float(np.mean(w * x * x)), plogp_x],
+            [plogp, plogp_x, float(np.mean(p * logp**2 / (1.0 - p)))],
+        ])
 
     def prob_at(design, x0=None):
         x0 = _x0_or_max(design, x0)

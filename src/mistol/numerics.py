@@ -148,16 +148,16 @@ def _check_finite(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
-def shifted_normal_nodes(shift: float, knots=None):
+def shifted_normal_nodes(shift: float, knots=()):
     """Nodes z and weights w such that w @ f(z) approximates E f(Z), Z ~ N(shift, 1).
 
-    With knots None (a smooth integrand) the rule is 200-node Gauss-Hermite.
+    With no knots (a smooth integrand) the rule is 200-node Gauss-Hermite.
     Otherwise [shift - 8, shift + 8] is split at the knots inside it, each
     panel is cut to width <= 2 and gets 60-node Gauss-Legendre with the
     normal density folded into the weights, so that kinks and jumps land
-    on panel boundaries. An empty tuple of knots still takes this route.
+    on panel boundaries.
     """
-    if knots is None:
+    if not knots:
         x, w = _hermite_rule(200)
         return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
     lo, hi = shift - 8.0, shift + 8.0
@@ -178,7 +178,7 @@ def _as_symmetric(m, label: str) -> np.ndarray:
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{label} block must be square, got shape {m.shape}")
     mt = np.swapaxes(m, -1, -2)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True))
+    scale = np.maximum(1.0, np.maximum(np.abs(m), np.abs(mt)))
     if (np.abs(m - mt) > 1e-8 * scale).any():
         raise ValueError(f"{label} block is not symmetric")
     return 0.5 * (m + mt)

@@ -180,15 +180,14 @@ def risk_closed_form(kind: str, a, *, m: float = 1.0, c: float = 0.5):
 def _expected_loss(est: AEstimator, a, loss):
     """E loss(a_hat(Z) - a) with Z ~ N(a, 1) at each a, by quadrature.
 
-    Smooth rules without knots take the Gauss-Hermite nodes; the others
-    the knot-split Gauss-Legendre nodes. Shifts are handled one at a time,
+    Rules without knots take the Gauss-Hermite nodes; the others the
+    knot-split Gauss-Legendre nodes. Shifts are handled one at a time,
     since some rules expand every z over hundreds of inner nodes.
     """
-    knots = None if est.smooth and not est.knots else est.knots
     a_arr = np.atleast_1d(np.asarray(a, dtype=float))
     out = np.empty_like(a_arr)
     for i, ai in enumerate(a_arr):
-        z, w = shifted_normal_nodes(ai, knots)
+        z, w = shifted_normal_nodes(ai, est.knots)
         out[i] = w @ _check_finite(loss(est.a_fn(z) - ai), "risk quadrature")
     return out if np.asarray(a).shape else float(out[0])
 

@@ -69,7 +69,7 @@ class TestRuleStructure:
     def test_weight_continuation_at_zero(self):
         for est in catalogue():
             assert float(est.c(0.0)) == est.c0, est.name
-            if est.smooth and not est.knots:
+            if not est.knots:
                 slope = aval(est, 1e-7) / 1e-7
                 assert slope == pytest.approx(est.c0, abs=1e-5), est.name
 
@@ -103,7 +103,7 @@ class TestRuleStructure:
         q = qtilde(0.5)
         assert q.knots == (-math.sqrt(0.5), math.sqrt(0.5))
         assert aval(q, math.sqrt(0.5)) == pytest.approx(0.0, abs=1e-15)
-        assert qtilde(0.0).smooth and qtilde(0.0).knots == ()
+        assert qtilde(0.0).knots == ()
 
     def test_parameter_validation(self):
         for factory, bad in [

@@ -67,6 +67,13 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             weibull_config(n_list=())
 
+    @pytest.mark.parametrize("method", KAPPA_METHODS)
+    def test_departure_must_be_scalar(self, method):
+        # every study kind reads one departure coordinate
+        two = dataclasses.replace(get_model("weibull-vs-exp"), gamma0=(1.0, 1.0))
+        with pytest.raises(ValueError, match="scalar departure only"):
+            weibull_config(model=two, kappa_method=method)
+
     def test_resolved_estimators(self):
         config = weibull_config(estimators=("narrow", "debias", eb(), "qhat:eps=0.1"))
         resolved = config.resolved_estimators()
@@ -207,10 +214,10 @@ def singular_above_model(threshold):
     base = get_model("weibull-vs-exp")
 
     def closed_information(theta, design):
-        info = base.closed_information(theta, design)
-        if theta[0] <= threshold:
-            return info
-        return PartitionedInfo(info.j11, info.j12, info.j12**2 / info.j11)
+        full = base.closed_information(theta, design)
+        if theta[0] > threshold:
+            full[1, 1] = full[0, 1] ** 2 / full[0, 0]
+        return full
 
     return dataclasses.replace(base, closed_information=closed_information)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -81,7 +82,7 @@ class TestInformationRoutes:
         for model in builtin_catalogue():
             design = small_design(model)
             closed = information_at_null(model, design).matrix
-            generic = information_generic(model, design).matrix
+            generic = information_generic(model, design)
             scale = np.max(np.abs(closed))
             assert np.allclose(closed, generic, atol=1e-8 * scale), model.name
 
@@ -118,6 +119,31 @@ class TestInformationRoutes:
                 - model.log_density(y, design, dn[:p], dn[p:])
             ) / (2.0 * h)
             assert np.allclose(scores[:, j], diff, rtol=1e-5, atol=1e-6), (name, j)
+
+    @staticmethod
+    def with_information(full):
+        """linreg-quadratic (p = 2, q = 1) with a fixed closed information."""
+        base = get_model("linreg-quadratic")
+        return dataclasses.replace(base, closed_information=lambda theta, design: full)
+
+    def test_wrong_size_information_raises(self):
+        model = self.with_information(np.eye(4))
+        with pytest.raises(ValueError, match=r"linreg-quadratic.*\(3, 3\), not \(4, 4\)"):
+            information_at_null(model, model.default_design(7))
+
+    @pytest.mark.parametrize(
+        "full",
+        [
+            # 1e-7 off symmetric is small against the 1e6 entry, not against 0.5
+            [[1.0, 0.5, 0.0], [0.5 + 1e-7, 1.0, 0.0], [0.0, 0.0, 1e6]],
+            [[1.0, 0.0, 0.3], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]],
+        ],
+        ids=["narrow-block", "cross-block"],
+    )
+    def test_asymmetric_information_raises(self, full):
+        model = self.with_information(np.array(full))
+        with pytest.raises(ValueError, match="not symmetric"):
+            information_at_null(model, model.default_design(7))
 
     def test_degenerate_design_raises(self):
         model = get_model("linreg-quadratic")

@@ -133,7 +133,7 @@ class TestShiftedNormalNodes:
         so each is checked against its panel loop written out here."""
 
         def pinned_normal(shift, knots):
-            if knots is None:
+            if not knots:
                 x, w = np.polynomial.hermite.hermgauss(200)
                 return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
             lo, hi = shift - 8.0, shift + 8.0

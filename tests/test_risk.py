@@ -24,7 +24,6 @@ from mistol.estimators import (
 from mistol.models import MODEL_BUILDERS, get_model
 from mistol.numerics import (
     NumericsError,
-    PartitionedInfo,
     replication_rng,
     std_normal_quantile,
 )
@@ -119,11 +118,11 @@ class TestLimitGeometry:
         base = get_model("weibull-vs-exp")
 
         def closed_information(theta, design):
-            info = base.closed_information(theta, design)
-            if theta[0] <= 1.5:
-                return info
-            # the departure block equals what the narrow block explains
-            return PartitionedInfo(info.j11, info.j12, info.j12**2 / info.j11)
+            full = base.closed_information(theta, design)
+            if theta[0] > 1.5:
+                # the departure entry equals what the narrow entry explains
+                full[1, 1] = full[0, 1] ** 2 / full[0, 0]
+            return full
 
         model = dataclasses.replace(base, closed_information=closed_information)
         design = model.default_design(60)
@@ -242,7 +241,7 @@ class TestRiskCurveTable:
     def test_nonfinite_integrand_rejected(self):
         # log is nan on the negative nodes, on either quadrature path
         smooth = AEstimator("log", np.log, c0=0.0)
-        knotted = AEstimator("log", np.log, c0=0.0, smooth=False, knots=(0.0,))
+        knotted = AEstimator("log", np.log, c0=0.0, knots=(0.0,))
         for est in (smooth, knotted):
             with np.errstate(invalid="ignore", divide="ignore"):
                 with pytest.raises(NumericsError, match="non-finite"):
