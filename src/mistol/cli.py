@@ -376,6 +376,8 @@ def _study_config_from_file(ns) -> tuple:
     n_list = parse_list("n", int, (500,))
     if any(n < 1 for n in n_list):
         problems.append(f"n must list positive sample sizes, got {section['n']!r}")
+    if kind == "kappa" and len(n_list) > 1:
+        problems.append(f"a kappa study runs at one sample size; n lists {len(n_list)}")
     estimator_specs = tuple(
         part.strip()
         for part in section.get("estimators", "narrow,wide").split(",")

@@ -35,13 +35,13 @@ from .numerics import (
 class AEstimator:
     """A compromise estimator seen as a rule a_hat(z) = c(z)*z.
 
-    c0 is the continuation value of the weight at z = 0 (the limit of
-    a_hat(z)/z). Non-smooth rules list their kink/jump locations in knots so
-    quadrature can split there; a rule without knots is integrated as a
-    smooth one. elementwise is False for a rule whose a_fn couples the
-    entries of an array (a quadrature stop or a failure shared by all of
-    them); c then takes such an array entry by entry, so that one
-    replication's weight never depends on the others in its batch.
+    a_fn works entry by entry: each entry of a_fn(array) is, bit for bit,
+    a_fn of that entry alone, so one replication's weight never depends on
+    its batch, and c hands a whole array to a_fn (an intended public change:
+    no option makes c loop over the entries). c0 is the continuation value
+    of the weight at z = 0 (the limit of a_hat(z)/z). Non-smooth rules list
+    their kink/jump locations in knots so quadrature can split there; a rule
+    without knots is integrated as a smooth one.
     """
 
     name: str
@@ -49,15 +49,12 @@ class AEstimator:
     c0: float
     knots: tuple = ()
     params: tuple = ()  # ordered (key, value) pairs
-    elementwise: bool = True
 
     def a(self, z):
         return self.a_fn(np.asarray(z, dtype=float))
 
     def c(self, z):
         z = np.asarray(z, dtype=float)
-        if z.ndim and not self.elementwise:
-            return np.array([self.c(v) for v in z.ravel()]).reshape(z.shape)
         safe = np.where(z == 0.0, 1.0, z)
         out = np.where(z == 0.0, self.c0, self.a_fn(safe) / safe)
         return out if out.shape else float(out)
@@ -72,6 +69,12 @@ class AEstimator:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
+
+
+def _row_dot(m, v):
+    """Each row of m (B, k) dotted with v (k,) on its own: a matrix-vector
+    product blocks rows together, so a row's bits would depend on B."""
+    return (m[:, None, :] @ v[:, None])[:, 0, 0]
 
 
 def narrow_rule() -> AEstimator:
@@ -121,28 +124,30 @@ def qhat_weight(z, eps: float = 0.05):
     weight 1/(1 - t^2), tmax = sqrt(1 - eps). The substitution t = tanh u
     absorbs that weight's endpoint singularity: the numerator becomes
     int_0^atanh(tmax) e^{-z^2 tanh^2(u)/2} sech^2(u) du and the denominator
-    the same integral without sech^2. Both are evaluated by an adaptive
-    (node-doubling) Gauss-Legendre rule. Vectorized in z.
+    the same integral without sech^2. Both are evaluated by a node-doubling
+    Gauss-Legendre rule. Vectorized in z, entry by entry: an entry stops at
+    the first doubling that moves its ratio by at most 1e-12*(1 + |ratio|).
     """
     eps = float(eps)
     _require(0.0 < eps < 1.0, "qhat needs eps strictly inside (0, 1)")
     z = np.asarray(z, dtype=float)
+    z2 = np.ravel(z * z)
     umax = math.atanh(math.sqrt(1.0 - eps))
+    out = np.empty(z2.shape)
+    active = np.arange(z2.size)
     previous = None
-    nodes = 60
-    while nodes <= 1920:
+    for nodes in (60, 120, 240, 480, 960, 1920):
         u, w = legendre_panels((0.0, umax), nodes)
         t = np.tanh(u)
-        kernel = np.exp(-0.5 * np.multiply.outer(z * z, t * t))
-        num = kernel @ (w / np.cosh(u) ** 2)
-        den = kernel @ w
-        ratio = num / den
-        if previous is not None and np.max(np.abs(ratio - previous)) <= 1e-12 * (
-            1.0 + np.max(np.abs(ratio))
-        ):
-            return ratio if ratio.shape else float(ratio)
+        kernel = np.exp(-0.5 * np.multiply.outer(z2[active], t * t))
+        ratio = _row_dot(kernel, w / np.cosh(u) ** 2) / _row_dot(kernel, w)
+        if previous is not None:
+            settled = np.abs(ratio - previous) <= 1e-12 * (1.0 + np.abs(ratio))
+            out[active[settled]] = ratio[settled]
+            active, ratio = active[~settled], ratio[~settled]
+            if not active.size:
+                return out.reshape(z.shape) if z.ndim else float(out[0])
         previous = ratio
-        nodes *= 2
     raise NumericsError("qhat weight quadrature did not stabilize")
 
 
@@ -153,7 +158,6 @@ def qhat(eps: float = 0.05) -> AEstimator:
         lambda z: np.asarray(qhat_weight(z, eps)) * z,
         c0=w0,
         params=(("eps", float(eps)),),
-        elementwise=False,
     )
 
 
@@ -427,23 +431,23 @@ def _joint(points, prior_weights, z):
 
 
 def _posterior_means(points, prior_weights, z):
-    z_in = np.asarray(z, dtype=float)
-    joint, evidence = _joint(points, prior_weights, np.atleast_1d(z_in))
-    means = (joint @ points) / evidence
-    return means if z_in.ndim else float(means[0])
+    z = np.asarray(z, dtype=float)
+    joint, evidence = _joint(points, prior_weights, np.ravel(z))
+    means = (_row_dot(joint, points) / evidence).reshape(z.shape)
+    return means if z.ndim else float(means)
 
 
 def bayes_posterior(prior, z: float):
     """Posterior over the shifted-normal mean after observing z.
 
     Returns (Posterior, posterior mean). The Posterior carries quadrature
-    points and normalized weights (atoms and masses for a discrete prior).
+    points and normalized weights (atoms and masses for a discrete prior);
+    the mean is, bit for bit, bayes_estimator(prior).a(z).
     """
     points, prior_weights = _prior_nodes(prior)
     joint, evidence = _joint(points, prior_weights, np.array([float(z)]))
-    weights = joint[0] / evidence[0]
-    mean = float(weights @ points)
-    return Posterior(points, weights, mean), mean
+    mean = float(_row_dot(joint, points)[0] / evidence[0])
+    return Posterior(points, joint[0] / evidence[0], mean), mean
 
 
 def bayes_estimator(prior, name: str = "bayes-custom") -> AEstimator:
@@ -454,7 +458,7 @@ def bayes_estimator(prior, name: str = "bayes-custom") -> AEstimator:
         return _posterior_means(points, weights, z)
 
     c0 = float(a_fn(np.array([1e-6]))[0]) / 1e-6
-    return AEstimator(name, a_fn, c0=c0, elementwise=False)
+    return AEstimator(name, a_fn, c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -762,19 +766,23 @@ def _fit(model, y, design, wide) -> FitResult:
     return _newton_fit(model, _checked_sample(model, y, design), design, wide)
 
 
-def fit_rows(fit, model: ModelSpec, y, design: Design, wide: bool) -> tuple:
-    """fit on each row of the stack y that holds: (the stacked FitResult of
+def fit_rows(model: ModelSpec, y, design: Design, wide: bool) -> tuple:
+    """fit_wide (wide True) or fit_narrow, as this module binds it at call
+    time, on each row of the stack y that holds: (the stacked FitResult of
     the rows kept, or None if no row is, and their indices).
 
-    fit is fit_narrow (wide False) or fit_wide (wide True), or a wrapper of
-    one. This is the one place that leaves failing fit rows out. A closed
+    wide alone names the fit (an intended public change: it is no longer an
+    argument), so a wrapper installed on either fit, as perfbench's spans
+    are, sees each call. This is the one place that leaves failing fit rows
+    out. A closed
     form fits the whole stack in one call when every row holds; otherwise
     each row is fitted alone and the rows that hold are fitted again as one
     stack (numerics.rows_that_hold). A Newton fit is called on each row, and
     a row that raises a NumericsError is left out. The rows are separate
-    calls so that each stays a fit of its own: perfbench's per-fit spans and
-    its failure ledger count them so.
+    calls so that each stays a fit of its own: perfbench's per-fit spans
+    and its failure ledger count them so.
     """
+    fit = fit_wide if wide else fit_narrow
     if (model.wide_fit_exact if wide else model.narrow_fit_exact) is not None:
         result, kept, _ = rows_that_hold(lambda rows: fit(model, y[rows], design), len(y))
         return result, kept

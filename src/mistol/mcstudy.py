@@ -30,9 +30,7 @@ from .estimators import (
     AEstimator,
     compromise_estimate,
     debias_estimate,
-    fit_narrow,
     fit_rows,
-    fit_wide,
     parse_estimator,
     z_statistic,
 )
@@ -195,8 +193,13 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     the per-observation wide scores there; full-ml-cov scales the
     empirical covariance of the wide ML estimates by n; gamma-sd is the
     standard deviation of sqrt(n)*(gamma_hat - gamma0). The first two also
-    return the matrix they estimated.
+    return the matrix they estimated. The study runs at one sample size, so
+    config.n_list must hold exactly one; a longer list raises ValueError.
     """
+    if len(config.n_list) != 1:
+        raise ValueError(
+            f"a kappa study runs at one sample size; n lists {len(config.n_list)}"
+        )
     model = config.model
     n = int(config.n_list[0])
     design = config.design_for(n)
@@ -207,7 +210,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
 
     if method == "score-cov":
         def score_covariances(ys):
-            narrow, kept = fit_rows(fit_narrow, model, ys, design, wide=False)
+            narrow, kept = fit_rows(model, ys, design, wide=False)
             out = []
             for j, i in enumerate(kept):
                 try:
@@ -235,7 +238,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
         )
 
     def wide_params(ys):
-        wide, _ = fit_rows(fit_wide, model, ys, design, wide=True)
+        wide, _ = fit_rows(model, ys, design, wide=True)
         return [] if wide is None else wide.params
 
     params = np.array(_fit_each(config, gamma0, design, wide_params))
@@ -323,8 +326,8 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
     gamma_true = gamma0 + delta / math.sqrt(n)
 
     def fit_both(ys):
-        narrow, kept = fit_rows(fit_narrow, model, ys, design, wide=False)
-        wide, kept_wide = fit_rows(fit_wide, model, ys[kept], design, wide=True)
+        narrow, kept = fit_rows(model, ys, design, wide=False)
+        wide, kept_wide = fit_rows(model, ys[kept], design, wide=True)
         out = []
         for j, i in enumerate(kept_wide):
             theta = narrow.theta[i]

@@ -1072,12 +1072,26 @@ def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
     )
 
 
-def _require_varying_response(y, design=None):
+def _require_varying_response(y, design):
+    """Reject a response that is constant, or exactly affine in the centred
+    covariate c: its least-squares residual on (1, c) is at most 1e-12 of
+    max|y| (rounding leaves at most about 1e-15; a sample drawn from the
+    model leaves far more)."""
     if np.min(y) == np.max(y):
         raise DomainError(
             "a constant response has no transform-regression MLE: at slope 0 the "
             "likelihood keeps rising as sigma goes to 0, with the power going to "
             "infinity for a positive response and to 0 for a negative one"
+        )
+    columns = (1.0, _centered(design))
+    residual = _residual(y, _least_squares(y, columns)[1:], columns)
+    if np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(y)):
+        raise DomainError(
+            "an exactly affine response (least-squares residual on the centred "
+            "covariate and an intercept at most 1e-12 of max|y|) has no "
+            "transform-regression MLE: at its own slope the likelihood keeps "
+            "rising as sigma goes to 0, with the power going to infinity for a "
+            "positive intercept and to 0 for a negative one"
         )
 
 

@@ -422,6 +422,18 @@ class TestSimulateCommand:
         assert "m sets the first group size of the two-sample model only" in err
         assert not (tmp_path / "wb.csv").exists()
 
+    def test_kappa_study_takes_one_sample_size(self, tmp_path):
+        cfg = study_ini(
+            tmp_path,
+            "[study]\nkind = kappa\nmodel = weibull-vs-exp\nkappa_method = gamma-sd\n"
+            f"n = 60,120\nreplications = 100\nseed = 3\nout = {tmp_path / 'kn'}\n",
+        )
+        code, _, err = run_cli("simulate", "--config", str(cfg))
+        assert code == 2
+        assert "config errors:" in err
+        assert "a kappa study runs at one sample size; n lists 2" in err
+        assert not (tmp_path / "kn.csv").exists()
+
 
     @pytest.mark.parametrize("key, value, message", [
         ("m", "0", "m must be a positive integer, got 0"),

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from mistol import estimators
 from mistol.estimators import (
     AtomPrior,
     DensityPrior,
@@ -218,6 +219,12 @@ class TestPriorRules:
         assert np.allclose(direct.a(GRID), wrapped.a(GRID), atol=1e-12)
         _, mean = bayes_posterior(prior, 0.8)
         assert mean == pytest.approx(m * math.tanh(m * 0.8), abs=1e-13)
+        # bayes_posterior's mean is the rule's value, bit for bit
+        cosine = DensityPrior(lambda a: np.cos(math.pi * a / 4.0) ** 2 / 2.0, -2.0, 2.0)
+        for each in (prior, cosine):
+            rule = bayes_estimator(each)
+            for z in np.linspace(-6.0, 6.0, 49):
+                assert bayes_posterior(each, z)[1] == rule.a(z), (each.name, z)
 
     def test_bickel_frozen_values(self):
         est = bickel(2.0)
@@ -288,6 +295,22 @@ class TestPriorRules:
     def test_vanishing_evidence(self):
         with pytest.raises(NumericsError):
             bayes_posterior(AtomPrior((40.0,), (1.0,)), -40.0)
+
+
+def test_every_rule_works_entry_by_entry():
+    # each entry of a(array) is, bit for bit, a of that entry alone, for any
+    # batch size: a replication's weight never depends on its batch
+    rng = np.random.default_rng(23)
+    zs = np.concatenate([rng.normal(0.0, 3.0, 540), np.linspace(-13.0, 13.0, 261), [0.0]])
+    rules = catalogue() + [
+        qhat(0.1), bickel(0.7), bayes_estimator(AtomPrior((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3))),
+    ]
+    for est in rules:
+        whole = est.a(zs)
+        for size in (1, 3, 5, 31, 33):
+            assert np.array_equal(est.a(zs[:size]), whole[:size]), (est.name, size)
+        assert np.array_equal(whole, [est.a(z) for z in zs]), est.name
+        assert np.array_equal(est.c(zs), [est.c(z) for z in zs]), est.name
 
 
 class TestParsing:
@@ -624,7 +647,7 @@ class TestStackedFits:
         with pytest.raises(NumericsError, match="could not be bracketed"):
             fit_wide(model, ys, design)
         assert fit_wide(model, ys[[0, 1, 3, 4]], design).converged.all()
-        stacked, kept = fit_rows(fit_wide, model, ys, design, wide=True)
+        stacked, kept = fit_rows(model, ys, design, wide=True)
         assert kept.tolist() == [0, 1, 3, 4] and stacked.converged.all()
 
     @pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 4.0, 50.0])
@@ -768,14 +791,15 @@ class TestFitRows:
     @pytest.mark.parametrize("name, bad", [
         ("weibull-vs-exp", -1.0), ("logistic-quadratic", 0.5),
     ])
-    def test_one_failing_row_is_left_out(self, name, bad):
+    def test_one_failing_row_is_left_out(self, monkeypatch, name, bad):
         model = get_model(name)
         design, ys = self.draws(model, 60, 5, 13)
         ys[2, 0] = bad  # fails the data check
         closed = model.narrow_fit_exact is not None
         for fit, wide in ((fit_narrow, False), (fit_wide, True)):
             wrapper, calls = counted(fit)
-            stacked, kept = fit_rows(wrapper, model, ys, design, wide)
+            monkeypatch.setattr(estimators, fit.__name__, wrapper)
+            stacked, kept = fit_rows(model, ys, design, wide)
             assert kept.tolist() == [0, 1, 3, 4]
             assert calls == ([5, 1, 1, 1, 1, 1, 4] if closed else [1] * 5)
             for j, r in enumerate(kept):
@@ -786,11 +810,12 @@ class TestFitRows:
             assert stacked.iterations == sum(fit(model, ys[r], design).iterations for r in kept)
 
     @pytest.mark.parametrize("name", ["weibull-vs-exp", "logistic-quadratic"])
-    def test_a_block_that_holds_is_one_call_per_fit(self, name):
+    def test_a_block_that_holds_is_one_call_per_fit(self, monkeypatch, name):
         model = get_model(name)
         design, ys = self.draws(model, 60, 4, 17)
         wrapper, calls = counted(fit_narrow)
-        stacked, kept = fit_rows(wrapper, model, ys, design, wide=False)
+        monkeypatch.setattr(estimators, "fit_narrow", wrapper)
+        stacked, kept = fit_rows(model, ys, design, wide=False)
         assert kept.tolist() == [0, 1, 2, 3] and stacked.params.shape[0] == 4
         assert calls == ([4] if model.narrow_fit_exact is not None else [1] * 4)
 
@@ -803,7 +828,7 @@ class TestFitRows:
             for y in ys:
                 with pytest.raises(DomainError):
                     fit(model, y, design)
-            stacked, kept = fit_rows(fit, model, ys, design, wide)
+            stacked, kept = fit_rows(model, ys, design, wide)
             assert stacked is None and kept.size == 0
 
 
@@ -872,14 +897,30 @@ def test_gamma_constant_sample_is_rejected_fast(fit):
     assert fit_narrow(get_model("weibull-vs-exp"), np.full(40, 3.0), design).converged
 
 
+CONSTANT = "a constant response has no transform-regression MLE"
+AFFINE = r"an exactly affine response \(least-squares residual .* at most 1e-12 of max\|y\|\)"
+
+
 @pytest.mark.parametrize("fit", [fit_narrow, fit_wide])
-@pytest.mark.parametrize("level", [3.0, 1.234567, 0.1, -3.0])
-def test_transform_regression_constant_response_is_rejected_fast(fit, level):
-    # no wide MLE exists: at slope 0 the likelihood keeps rising toward
-    # sigma = 0, and the model's one data check rejects the narrow fit too
+@pytest.mark.parametrize("slope, level, message", [
+    pytest.param(0.0, 3.0, CONSTANT, id="3.0"),
+    pytest.param(0.0, 1.234567, CONSTANT, id="1.234567"),
+    pytest.param(0.0, 0.1, CONSTANT, id="0.1"),
+    pytest.param(0.0, -3.0, CONSTANT, id="-3.0"),
+    pytest.param(2.0, 3.0, AFFINE, id="2c+3"),
+    pytest.param(2.0, -3.0, AFFINE, id="2c-3"),
+    pytest.param(-1.0, 0.1, AFFINE, id="-c+0.1"),
+    pytest.param(0.5, 0.0, AFFINE, id="0.5c"),
+])
+def test_transform_regression_constant_response_is_rejected_fast(fit, slope, level, message):
+    # no wide MLE exists: at the response's own slope the likelihood keeps
+    # rising toward sigma = 0, and the model's one data check rejects the
+    # narrow fit too (c is the centred covariate)
     model = get_model("transform-regression")
     design = model.default_design(40)
+    x = design.column(0)
+    y = np.full(40, level) if slope == 0.0 else slope * (x - float(np.mean(x))) + level
     start = time.perf_counter()
-    with pytest.raises(DomainError, match="a constant response has no transform-regression MLE"):
-        fit(model, np.full(40, level), design)
+    with pytest.raises(DomainError, match=message):
+        fit(model, y, design)
     assert time.perf_counter() - start < 0.02

@@ -13,7 +13,7 @@ from mistol.estimators import (
     fit_wide,
     z_statistic,
 )
-from mistol import mcstudy
+from mistol import estimators, mcstudy
 from mistol.mcstudy import (
     KAPPA_METHODS,
     KappaStudy,
@@ -134,6 +134,11 @@ class TestKappaBySimulation:
         assert study.inverse_info.shape == (2, 2)
         # the departure block of n*Cov should approximate kappa^2
         assert study.inverse_info[1, 1] == pytest.approx(study.kappa**2, rel=1e-9)
+
+    def test_one_sample_size(self):
+        config = weibull_config(kappa_method="gamma-sd", n_list=(60, 120))
+        with pytest.raises(ValueError, match="one sample size; n lists 2"):
+            kappa_by_simulation(config)
 
     def test_methods_tuple(self):
         assert KAPPA_METHODS == ("score-cov", "full-ml-cov", "gamma-sd")
@@ -530,8 +535,8 @@ class TestBlocks:
                 return fit(model, y, design)
             return wrapper
 
-        monkeypatch.setattr(mcstudy, "fit_narrow", spy(fit_narrow))
-        monkeypatch.setattr(mcstudy, "fit_wide", spy(fit_wide))
+        monkeypatch.setattr(estimators, "fit_narrow", spy(fit_narrow))
+        monkeypatch.setattr(estimators, "fit_wide", spy(fit_wide))
         finite_sample_mse(weibull_config(n_list=(50,), replications=100))
         blocks = [(32, 50)] * 3 + [(4, 50)]
         assert calls == [(name, shape) for shape in blocks for name in ("fit_narrow", "fit_wide")]
@@ -539,8 +544,11 @@ class TestBlocks:
         finite_sample_mse(StudyConfig(
             model=get_model("gamma-vs-exp"), n_list=(200,), replications=100, seed=3,
         ))
-        assert [shape for name, shape in calls if name == "fit_narrow"] == [
+        # each Newton wide fit warm-starts at its own single-row narrow fit
+        narrow_shapes = [shape for name, shape in calls if name == "fit_narrow"]
+        assert [shape for shape in narrow_shapes if len(shape) == 2] == [
             (32, 200)] * 3 + [(4, 200)]
+        assert [shape for shape in narrow_shapes if len(shape) == 1] == [(200,)] * 100
         assert [shape for name, shape in calls if name == "fit_wide"] == [(200,)] * 100
 
 
