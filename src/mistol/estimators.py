@@ -23,7 +23,6 @@ from .numerics import (
     legendre_panels,
     rows_that_hold,
     std_normal_mills_ratio,
-    std_normal_pdf,
 )
 
 
@@ -420,14 +419,16 @@ def _prior_nodes(prior):
 
 def _joint(points, prior_weights, z):
     """Joint weights phi(z - point) * prior weight, one row per entry of the
-    1-D array z, and each row's evidence (its sum)."""
-    joint = std_normal_pdf(z[:, None] - points[None, :]) * prior_weights[None, :]
-    evidence = joint.sum(axis=1)
-    if np.any(evidence <= 0.0):
-        raise NumericsError(
-            "posterior evidence vanished; the prior puts no mass near the data"
-        )
-    return joint, evidence
+    1-D array z, and each row's evidence (its sum), both up to a factor per
+    row: each row's exponent is shifted so that its largest among the points
+    of positive prior weight is 0, and the evidence cannot underflow."""
+    live = prior_weights > 0.0
+    if not np.any(live):
+        raise NumericsError("posterior evidence vanished; the prior puts no mass anywhere")
+    exponent = -0.5 * (z[:, None] - points[None, :]) ** 2
+    shift = exponent.max(axis=1, initial=-np.inf, where=live, keepdims=True)
+    joint = np.exp(exponent - shift) * prior_weights
+    return joint, joint.sum(axis=1)
 
 
 def _posterior_means(points, prior_weights, z):
@@ -532,9 +533,10 @@ class FitResult:
     """One maximized likelihood, or one per row of a stack of samples.
 
     params holds theta for a narrow fit and theta followed by gamma for a
-    wide fit. The fit is certified: loglik is finite and grad_norm, the
+    wide fit. The fit is certified: loglik is finite, and grad_norm, the
     central-difference gradient norm at params, is at most
-    1e-8*(1+|loglik|).
+    1e-8*(1+|loglik|), or a Newton fit stalled at the rounding floor of
+    the log-likelihood (see maximize_loglik).
 
     A fit of a stack (B, n) of samples holds one row per sample in params,
     theta, gamma, loglik and grad_norm, and iterations is the total over
@@ -549,11 +551,6 @@ class FitResult:
     iterations: int
     grad_norm: float
     method: str
-
-    @property
-    def converged(self):
-        ok = np.asarray(self.grad_norm) <= 1e-8 * (1.0 + np.abs(self.loglik))
-        return bool(ok) if ok.ndim == 0 else ok
 
 
 def _fd_hessian(f, x, f0):
@@ -581,9 +578,12 @@ def _fd_hessian(f, x, f0):
 def maximize_loglik(f, x0):
     """Safeguarded Newton ascent with step-halving, at most 200 steps.
 
-    Returns (x, loglik, iterations, grad_norm). Convergence requires the
-    gradient norm to fall below 1e-8*(1+|loglik|); failure to do so raises
-    FitError with the iteration trace.
+    Returns (x, loglik, iterations, grad_norm). A point is certified when
+    its gradient norm is at most 1e-8*(1+|loglik|), or, when no halving of
+    an ascending Newton step raises f, when the Newton decrement
+    g'(-H)^{-1}g is at most 4e-15*(1+|loglik|): f then cannot rise by more
+    than its own rounding (Boyd & Vandenberghe 2004, section 9.5). Any
+    other end raises FitError with the iteration trace.
     """
     x = np.asarray(x0, dtype=float).copy()
     loglik = f(x)
@@ -597,14 +597,12 @@ def maximize_loglik(f, x0):
         if gnorm <= 1e-8 * (1.0 + abs(loglik)):
             return x, float(loglik), iteration, gnorm
         hess = _fd_hessian(f, x, loglik)
-        step = None
         try:
-            candidate = np.linalg.solve(hess, -grad)
-            if float(candidate @ grad) > 0.0:
-                step = candidate
+            step = np.linalg.solve(hess, -grad)
+            decrement = float(step @ grad)
         except np.linalg.LinAlgError:
-            step = None
-        if step is None:
+            decrement = math.nan
+        if not decrement > 0.0:  # the Newton step does not ascend
             step = grad / max(1.0, float(np.linalg.norm(grad)))
         scale = 1.0
         for _ in range(60):
@@ -616,6 +614,8 @@ def maximize_loglik(f, x0):
             scale *= 0.5
         else:
             # x is unchanged, so its gradient is the one just found too large
+            if 0.0 < decrement <= 4e-15 * (1.0 + abs(loglik)):
+                return x, float(loglik), iteration, gnorm
             raise FitError(
                 f"line search stalled at gradient norm {gnorm:.3e}", trace
             )

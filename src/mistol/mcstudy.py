@@ -3,8 +3,11 @@
 Three jobs: estimate the tolerance radius by simulation, measure the
 finite-sample mean squared error of compromise estimators against the
 limit-experiment prediction, and measure confidence-interval coverage
-under root-n departures. Replication r always draws from a stream keyed
-by (seed, r). The replications of a study cell are drawn and fitted in
+under root-n departures. A StudyConfig holds every setting of a study
+and checks each one when it is built, the estimand and estimators
+included (see its docstring), so a bad setting raises ValueError before
+any replication runs. Replication r always draws from a stream keyed by
+(seed, r). The replications of a study cell are drawn and fitted in
 blocks of BLOCK_ROWS consecutive replications, in order, and each block is
 dropped once fitted. estimators.fit_rows fits a block and leaves out the
 replications that fail: a closed-form fit takes the whole block in one
@@ -59,7 +62,16 @@ class StudyError(NumericsError):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything needed to reproduce a study bit-for-bit."""
+    """Everything needed to reproduce a study bit-for-bit.
+
+    The field defaults are the only study defaults; the CLI's [study]
+    reader passes only the keys a config file sets. Construction raises
+    ValueError for a missing seed, fewer than 100 replications, an unknown
+    kappa method, a level outside (0, 1), fewer than one worker, an empty
+    delta grid or n list, an n below 1, an estimand the model does not
+    define, an estimator that parse_estimator rejects ("debias" is allowed)
+    and a model with more than one departure parameter.
+    """
 
     model: ModelSpec
     estimand: str | None = None
@@ -88,8 +100,16 @@ class StudyConfig:
             raise ValueError("worker count must be at least 1")
         if not self.delta_grid or not self.n_list:
             raise ValueError("delta grid and n list must be nonempty")
+        if any(n < 1 for n in self.n_list):
+            raise ValueError(f"n must list positive sample sizes, got {self.n_list!r}")
         if self.model.q != 1:
             raise ValueError("Monte Carlo studies support a scalar departure only")
+        if self.estimand is not None and self.estimand not in self.model.estimand_names():
+            known = ", ".join(sorted(self.model.estimand_names()))
+            raise ValueError(
+                f"model {self.model.name!r} has no estimand {self.estimand!r} (known: {known})"
+            )
+        self.resolved_estimators()  # parse_estimator raises for a bad entry
 
     def design_for(self, n: int) -> Design:
         if self.design_factory is not None:

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mistol import cli
+from mistol import cli, mcstudy
 from mistol.estimators import compromise_estimate, estimator_names, parse_estimator
+from mistol.models import get_model
 
 
 def run_cli(*args):
@@ -158,6 +159,14 @@ class TestRiskCommand:
         assert rows[0] == "a,narrow"
         assert [float(r.split(",")[1]) for r in rows[1:]] == [0.0, 0.25, 1.0]
 
+    def test_bickel_far_from_its_prior(self, capsys):
+        # the rule stays below its prior's bound 2, so the risk lies
+        # between (a - 2)^2 and a^2
+        assert cli.main(["risk", "--estimator", "bickel", "--grid", "50:60:5"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        for a, r in (map(float, row.split(",")) for row in rows):
+            assert (a - 2.0) ** 2 < r < a * a
+
     def test_usage_errors(self):
         assert run_cli("risk", "--grid", "0:5")[0] == 2
         assert run_cli("risk", "--loss", "l3")[0] == 2
@@ -193,6 +202,7 @@ def weibull_data(tmp_path):
     (("risk", "--loss", "l1:inf"), "--loss"),
     (("risk", "--grid", "0:nan:0.1"), "--grid"),
     (("risk", "--grid", "0:1e9:1e-9"), "1e+18 points"),
+    (("risk", "--grid", "0:1e6:1"), "1000001 points"),
 ])
 def test_numbers_outside_their_range_are_usage_errors(argv, name, capsys):
     try:
@@ -362,6 +372,30 @@ class TestSimulateCommand:
         assert "kind must be mse, kappa or coverage" in err
         assert "unknown model 'nope'" in err
 
+    def test_unknown_estimand_is_a_config_error(self, tmp_path):
+        cfg = study_ini(
+            tmp_path,
+            "[study]\nkind = mse\nmodel = weibull-vs-exp\nestimand = bogus\nn = 60\n"
+            f"replications = 100\nseed = 3\nout = {tmp_path / 'eb'}\n",
+        )
+        code, _, err = run_cli("simulate", "--config", str(cfg))
+        assert code == 2
+        assert "config errors:" in err and "has no estimand 'bogus'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "eb.csv").exists()
+
+    def test_unset_keys_take_study_config_defaults(self, tmp_path, capsys):
+        cfg = study_ini(
+            tmp_path,
+            "[study]\nkind = coverage\nmodel = weibull-vs-exp\nseed = 5\n"
+            f"out = {tmp_path / 'd'}\n",
+        )
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0, capsys.readouterr().err
+        config = mcstudy.StudyConfig(model=get_model("weibull-vs-exp"), seed=5)
+        expected = list(config.manifest_lines())
+        written = (tmp_path / "d-manifest.txt").read_text().splitlines()
+        assert written[:len(expected)] == expected
+
     def test_seed_required_but_flag_rescues(self, tmp_path):
         cfg = study_ini(
             tmp_path,
@@ -438,7 +472,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("key, value, message", [
         ("m", "0", "m must be a positive integer, got 0"),
         ("m", "-3", "m must be a positive integer, got -3"),
-        ("n", "40,0", "n must list positive sample sizes, got '40,0'"),
+        ("n", "40,0", "n must list positive sample sizes, got (40, 0)"),
     ])
     def test_non_positive_sizes_are_config_errors(self, tmp_path, key, value, message):
         sizes = {"m": "40", "n": "40", key: value}

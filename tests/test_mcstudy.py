@@ -67,6 +67,15 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             weibull_config(n_list=())
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_list": (40, 0)}, r"n must list positive sample sizes, got \(40, 0\)"),
+        ({"estimand": "bogus"}, "has no estimand 'bogus'"),
+        ({"estimators": ("narrow", "bogus")}, "unknown estimator 'bogus'"),
+    ])
+    def test_bad_settings_fail_at_construction(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            weibull_config(**setting)
+
     @pytest.mark.parametrize("method", KAPPA_METHODS)
     def test_departure_must_be_scalar(self, method):
         # every study kind reads one departure coordinate
@@ -211,6 +220,19 @@ class TestFailureAccounting:
         )
         result = finite_sample_mse(config)
         assert result.failures == 1
+
+
+@pytest.mark.parametrize("study, name, n, delta, seed", [
+    (coverage_study, "gamma-vs-exp", 100, 0.0, 21),
+    (finite_sample_mse, "logistic-quadratic", 150, 0.5, 7),
+])
+def test_routine_studies_complete(study, name, n, delta, seed):
+    # two Newton wide fits of each stall at the rounding floor of the
+    # log-likelihood, just above the gradient bar; they are certified
+    config = StudyConfig(
+        model=get_model(name), delta_grid=(delta,), n_list=(n,), replications=100, seed=seed,
+    )
+    assert study(config).failures == 0
 
 
 def singular_above_model(threshold):
