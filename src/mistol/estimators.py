@@ -9,6 +9,7 @@ correspondence; risk evaluation and Monte Carlo studies consume it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -536,7 +537,8 @@ class FitResult:
     wide fit. The fit is certified: loglik is finite, and grad_norm, the
     central-difference gradient norm at params, is at most
     1e-8*(1+|loglik|), or a Newton fit stalled at the rounding floor of
-    the log-likelihood (see maximize_loglik).
+    the log-likelihood (see maximize_loglik; its stacked gradient equals
+    numerics.central_gradient bit for bit).
 
     A fit of a stack (B, n) of samples holds one row per sample in params,
     theta, gamma, loglik and grad_norm, and iterations is the total over
@@ -553,37 +555,58 @@ class FitResult:
     method: str
 
 
-def _fd_hessian(f, x, f0):
-    """Central-difference Hessian of f at x, step 1e-4*(1+|x_i|); f0 is f(x)."""
-    k = x.size
-    h = 1e-4 * (1.0 + np.abs(x))
-    hess = np.empty((k, k))
+@functools.lru_cache(maxsize=8)
+def _probe_signs(k: int) -> np.ndarray:
+    """_fd_derivatives' probes of k coordinates as signs, read-only: +-e_j
+    for the gradient, +-e_i and (+,+), (+,-), (-,+), (-,-) on e_i, e_j for
+    each i < j for the Hessian, and last 0 for x itself."""
+    axes = [s * row for row in np.eye(k) for s in (1.0, -1.0)]
+    pairs = [a + b for i in range(k) for j in range(i + 1, k)
+             for a in axes[2 * i:2 * i + 2] for b in axes[2 * j:2 * j + 2]]
+    signs = np.array(axes + axes + pairs + [np.zeros(k)])
+    signs.setflags(write=False)
+    return signs
 
-    def at(*moves):
-        point = x.copy()
-        for i, sign in moves:
-            point[i] += sign * h[i]
-        return f(point)
 
+def _fd_derivatives(f, x, f0):
+    """(gradient, Hessian) of f at x by central differences, steps
+    1e-6*(1+|x_i|) as in numerics.central_gradient and 1e-4*(1+|x_i|), from
+    one call of f on the stack of every probe; f0 is f(x). A probe is x
+    plus signs times the step (x + h, x - h or x, exactly), and the values
+    are differenced as Python floats (two -inf probes give NaN, not a numpy
+    warning). A result that is not one value per probe, or whose last, at
+    x, is not f0, raises TypeError."""
+    k, signs = x.size, _probe_signs(x.size)
+    hg, hh = 1e-6 * (1.0 + np.abs(x)), 1e-4 * (1.0 + np.abs(x))
+    values = np.asarray(f(x + signs * np.repeat([hg, hh], [2 * k, len(signs) - 2 * k], axis=0)))
+    if values.shape != (len(signs),) or values[-1] != f0 and not _agrees(values[-1], f0):
+        raise TypeError("the objective must map a stack (m, k) of points to the m values "
+                        f"they have alone; on {len(signs)} points it gave shape {values.shape}")
+    v, f0 = values.tolist(), float(f0)  # not the steps: h ** 2 overflows to inf, never raises
+    grad = np.array([(v[2 * j] - v[2 * j + 1]) / (2.0 * hg[j]) for j in range(k)])
+    hess, at = np.empty((k, k)), 4 * k
     for i in range(k):
-        hess[i, i] = (at((i, 1.0)) - 2.0 * f0 + at((i, -1.0))) / h[i] ** 2
+        hess[i, i] = (v[2 * k + 2 * i] - 2.0 * f0 + v[2 * k + 2 * i + 1]) / hh[i] ** 2
         for j in range(i + 1, k):
-            hess[i, j] = hess[j, i] = (
-                at((i, 1.0), (j, 1.0)) - at((i, 1.0), (j, -1.0))
-                - at((i, -1.0), (j, 1.0)) + at((i, -1.0), (j, -1.0))
-            ) / (4.0 * h[i] * h[j])
-    return hess
+            pp, pm, mp, mm = v[at:at + 4]
+            at += 4
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * hh[i] * hh[j])
+    return grad, hess
 
 
 def maximize_loglik(f, x0):
     """Safeguarded Newton ascent with step-halving, at most 200 steps.
 
+    f maps a point (k,) to its value and a stack (m, k) to its m values (an
+    intended public change): each iteration takes its finite-difference
+    gradient and Hessian from one call of f on a stack (_fd_derivatives).
     Returns (x, loglik, iterations, grad_norm). A point is certified when
     its gradient norm is at most 1e-8*(1+|loglik|), or, when no halving of
     an ascending Newton step raises f, when the Newton decrement
     g'(-H)^{-1}g is at most 4e-15*(1+|loglik|): f then cannot rise by more
     than its own rounding (Boyd & Vandenberghe 2004, section 9.5). Any
-    other end raises FitError with the iteration trace.
+    other end raises FitError with the iteration trace; an f that does not
+    keep the stack contract raises TypeError.
     """
     x = np.asarray(x0, dtype=float).copy()
     loglik = f(x)
@@ -591,12 +614,11 @@ def maximize_loglik(f, x0):
         raise FitError("starting point lies outside the likelihood support")
     trace = []
     for iteration in range(200):
-        grad = central_gradient(f, x)
+        grad, hess = _fd_derivatives(f, x, loglik)
         gnorm = float(np.linalg.norm(grad))
         trace.append((float(loglik), gnorm))
         if gnorm <= 1e-8 * (1.0 + abs(loglik)):
             return x, float(loglik), iteration, gnorm
-        hess = _fd_hessian(f, x, loglik)
         try:
             step = np.linalg.solve(hess, -grad)
             decrement = float(step @ grad)
@@ -662,9 +684,24 @@ def _agrees(a, b) -> bool:
     return bool(np.allclose(a, b, rtol=0.0, atol=1e-12 * scale, equal_nan=True))
 
 
+def _loglik(model, y, design, wide):
+    """x -> the log-likelihood of y at params x: one value for y (n,) and x
+    (k,), one per row for a stack of params (m, k) against y (n,) or (m, n)."""
+    p = model.p
+    gamma0 = np.asarray(model.gamma0, dtype=float)
+
+    def loglik(x):
+        if wide:
+            gamma = x[..., p:]
+        else:
+            gamma = gamma0 if x.ndim == 1 else np.broadcast_to(gamma0, (len(x), gamma0.size))
+        return np.sum(model.log_density(y, design, x[..., :p], gamma), axis=-1)
+
+    return loglik
+
+
 def _closed_point(model, y, design, exact, wide):
-    """The closed-form fit of y, (n,) or (B, n), and the log-likelihood
-    x -> loglik(x) of y at params x, one per row."""
+    """The closed-form fit of y, (n,) or (B, n), and its _loglik."""
     p = model.p
     if wide:
         theta, gamma = exact(y, design)
@@ -678,16 +715,7 @@ def _closed_point(model, y, design, exact, wide):
         raise TypeError(
             f"closed fit of {model.name!r} has shape {params.shape}, expected {expected}"
         )
-    gamma0 = np.asarray(model.gamma0, dtype=float)
-
-    def loglik(x):
-        if wide:
-            gamma = x[..., p:]
-        else:
-            gamma = gamma0 if x.ndim == 1 else np.broadcast_to(gamma0, (len(x), gamma0.size))
-        return np.sum(model.log_density(y, design, x[..., :p], gamma), axis=-1)
-
-    return params, loglik
+    return params, _loglik(model, y, design, wide)
 
 
 def _closed_fit(model, y, design, exact, wide) -> FitResult:
@@ -735,20 +763,16 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
 
 def _newton_fit(model, y, design, wide) -> FitResult:
     """Newton ascent from theta0, or for a wide fit from the narrow fit
-    followed by gamma0, certified by maximize_loglik itself."""
-    p = model.p
-    gamma0 = np.asarray(model.gamma0, dtype=float)
+    followed by gamma0, certified by maximize_loglik itself; a TypeError
+    from it, such as a broken stack contract, names the model."""
     if wide:
-        start = np.concatenate([fit_narrow(model, y, design).theta, gamma0])
+        start = np.concatenate([fit_narrow(model, y, design).theta, model.gamma0])
     else:
         start = np.asarray(model.theta0, dtype=float)
-
-    def objective(x):
-        if not wide:
-            return model.loglik(y, design, x, gamma0)
-        return model.loglik(y, design, x[:p], x[p:])
-
-    params, loglik, iterations, gnorm = maximize_loglik(objective, start)
+    try:
+        params, loglik, iterations, gnorm = maximize_loglik(_loglik(model, y, design, wide), start)
+    except TypeError as err:
+        raise TypeError(f"log density of {model.name!r}: {err}") from err
     return _fit_result(model, wide, params, loglik, gnorm, iterations, "newton")
 
 

@@ -187,14 +187,18 @@ class ModelSpec:
       wide_fit_exact(y, design) -> (theta_hat, gamma_hat), likewise
       data_check(y, design) -> None, raising DomainError on bad data
 
-    A model with narrow_fit_exact is fitted in stacks: narrow_fit_exact,
-    wide_fit_exact (if set) and log_density must then also accept y of
-    shape (B, n), one sample per row on the same design, with theta of
-    shape (B, p) and gamma of shape (B, q), and return B rows (theta_hat
-    (B, p), gamma_hat (B, q), log densities (B, n)). Index parameters as
-    theta[..., j], never float(theta[0]). A stacked fit also fits its last
-    row alone and raises TypeError if the two differ. data_check and the
-    other callables always see one sample.
+    log_density also takes a stack of parameter rows, theta (m, p) and
+    gamma (m, q), against one sample y (n,) and returns (m, n): a Newton
+    iteration takes its derivatives from one such call, and raises
+    TypeError naming the model if the last row, its current point, differs
+    from that point alone. A model with narrow_fit_exact is fitted in
+    stacks: narrow_fit_exact, wide_fit_exact (if set) and log_density must
+    then also accept y of shape (B, n), one sample per row on the same
+    design, with theta of shape (B, p) and gamma of shape (B, q), and
+    return B rows (theta_hat (B, p), gamma_hat (B, q), log densities
+    (B, n)). Index parameters as theta[..., j], never float(theta[0]). A
+    stacked fit also fits its last row alone and raises TypeError if the
+    two differ. data_check and the other callables always see one sample.
     """
 
     name: str
@@ -1146,7 +1150,8 @@ def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
 
     def probs(design, theta, gamma):
         t = _centered(design)
-        return special.expit(theta[0] + theta[1] * t + gamma[0] * t * t)
+        (a, b), (g,) = _cols(theta), _cols(gamma)
+        return special.expit(a + b * t + g * t * t)
 
     def null_probs(design, theta):
         return special.expit(theta[0] + theta[1] * _centered(design))
@@ -1199,15 +1204,16 @@ def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
     """
 
     def null_probs(design, theta):
-        return special.expit(theta[0] + theta[1] * design.column(0))
+        a, b = _cols(theta)
+        return special.expit(a + b * design.column(0))
 
     def probs(design, theta, gamma):
-        return null_probs(design, theta) ** float(gamma[0])
+        (g,) = _cols(gamma)
+        return null_probs(design, theta) ** g
 
     def log_density(y, design, theta, gamma):
-        if float(gamma[0]) <= 0.0:
-            return np.full(np.shape(y), -np.inf)
-        return _bernoulli_log_density(y, probs(design, theta, gamma))
+        (g,) = _cols(gamma)
+        return _on_support(lambda: _bernoulli_log_density(y, probs(design, theta, gamma)), g)
 
     def score_null(y, design, theta):
         x = design.column(0)

@@ -45,7 +45,6 @@ from mistol.models import get_model
 from mistol.numerics import (
     DomainError,
     NumericsError,
-    central_gradient,
     replication_rng,
     std_normal_pdf,
 )
@@ -554,7 +553,7 @@ class TestFitting:
 
     def test_maximizer_on_quadratic(self):
         x, value, iters, trace = maximize_loglik(
-            lambda x: -float((x[0] - 3.0) ** 2), np.array([0.0])
+            lambda x: -(x[..., 0] - 3.0) ** 2, np.array([0.0])
         )
         assert x[0] == pytest.approx(3.0, abs=1e-8)
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -576,13 +575,9 @@ def study_replication(name, n, delta, seed, r):
 def newton_decrement(model, y, design, fit):
     """g'(-H)^{-1}g at a wide fit, from the gradient and Hessian that
     maximize_loglik takes there."""
-    p = model.p
-
-    def f(x):
-        return model.loglik(y, design, x[:p], x[p:])
-
-    grad = central_gradient(f, fit.params)
-    return float(np.linalg.solve(estimators._fd_hessian(f, fit.params, fit.loglik), -grad) @ grad)
+    f = estimators._loglik(model, y, design, wide=True)
+    grad, hess = estimators._fd_derivatives(f, fit.params, fit.loglik)
+    return float(np.linalg.solve(hess, -grad) @ grad)
 
 
 # Wide fits whose line search stalls just above the gradient bar, met in
@@ -798,6 +793,30 @@ class TestStackedFits:
         model = dataclasses.replace(base, narrow_fit_exact=first_sample)
         with pytest.raises(TypeError, match="'weibull-vs-exp' has shape"):
             fit_narrow(model, ys, design)
+
+    def test_newton_log_density_must_take_a_parameter_stack(self):
+        # a Newton iteration evaluates all its probes in one call: a log
+        # density that fails on, or ignores, a stack of parameter rows must
+        # not feed a wrong gradient into certification
+        base = get_model("logistic-quadratic")
+        design = base.default_design(100)
+        y = base.sampler(np.array([0.0, 1.0]), np.array([0.0]), design, replication_rng(6, 0))
+
+        def float_first(y, design, theta, gamma):
+            return base.log_density(y, design, np.array([float(theta[0]), float(theta[1])]), gamma)
+
+        def first_row(y, design, theta, gamma):  # silently row 0 on a stack
+            return base.log_density(y, design, np.ravel(theta)[:2], np.ravel(gamma)[:1])
+
+        fit_wide(base, y, design)  # the unwrapped model fits this sample
+        for log_density in (float_first, first_row):
+            model = dataclasses.replace(base, log_density=log_density)
+            assert model.loglik(y, design, [0.1, 0.9], [0.0]) == base.loglik(
+                y, design, [0.1, 0.9], [0.0]
+            )
+            for fit in (fit_narrow, fit_wide):
+                with pytest.raises(TypeError, match="'logistic-quadratic'"):
+                    fit(model, y, design)
 
     def test_newton_stack_runs_row_by_row(self):
         model = get_model("logistic-quadratic")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from mistol import estimators
 from mistol.models import (
     Design,
     MODEL_BUILDERS,
@@ -382,6 +383,80 @@ class TestNewtonPathArithmetic:
                 name, x, [float(v) for v in theta], gamma, design.n, replication_rng(21, k)
             )
             assert np.array_equal(got, want), (name, theta, gamma)
+
+    @staticmethod
+    def sample(model):
+        design = model.default_design(200)
+        theta0, gamma0 = TestNewtonPathArithmetic.points(model)[0]
+        return model.sampler(theta0, np.array([gamma0]), design, replication_rng(21, 0)), design
+
+    @staticmethod
+    def probe_stack(f, x):
+        """The stack of points on which a Newton iteration at x calls f."""
+        stacks = []
+
+        def recording(points):
+            stacks.append(points)
+            return f(points)
+
+        estimators._fd_derivatives(recording, x, f(x))
+        (stack,) = stacks
+        return stack
+
+    @pytest.mark.parametrize("name", list(MODEL_BUILDERS))
+    def test_stacked_log_density_rows_are_single_calls(self, name):
+        model = get_model(name)
+        y, design = self.sample(model)
+        f = estimators._loglik(model, y, design, wide=True)
+        p = model.p
+        for theta, gamma in self.points(model):
+            stack = self.probe_stack(f, np.append(theta, gamma))
+            rows = model.log_density(y, design, stack[:, :p], stack[:, p:])
+            assert rows.shape == (len(stack), design.n)
+            for row, point in zip(rows, stack):
+                one = model.log_density(y, design, point[:p], point[p:])
+                assert np.array_equal(row, one, equal_nan=True), (name, point)
+
+    @pytest.mark.parametrize("name", NEWTON_MODELS)
+    def test_stacked_derivatives_are_the_single_call_formulas(self, name):
+        model = get_model(name)
+        y, design = self.sample(model)
+        p = model.p
+
+        def f(x):  # the one-point objective, one call of f per point
+            return model.loglik(y, design, x[:p], x[p:])
+
+        for theta, gamma in self.points(model):
+            x = np.append(theta, gamma)
+            f0 = f(x)
+            grad, hess = estimators._fd_derivatives(
+                estimators._loglik(model, y, design, wide=True), x, f0
+            )
+            assert np.array_equal(grad, central_gradient(f, x)), (name, x)
+            assert np.array_equal(hess, four_point_hessian(f, x, f0), equal_nan=True), (name, x)
+
+
+def four_point_hessian(f, x, f0):
+    """Central-difference Hessian of f at x, step 1e-4*(1+|x_i|), from
+    single calls of f: 3 points on the diagonal, 4 off it."""
+    k = x.size
+    h = 1e-4 * (1.0 + np.abs(x))
+    hess = np.empty((k, k))
+
+    def at(*moves):
+        point = x.copy()
+        for i, sign in moves:
+            point[i] += sign * h[i]
+        return f(point)
+
+    for i in range(k):
+        hess[i, i] = (at((i, 1.0)) - 2.0 * f0 + at((i, -1.0))) / h[i] ** 2
+        for j in range(i + 1, k):
+            hess[i, j] = hess[j, i] = (
+                at((i, 1.0), (j, 1.0)) - at((i, 1.0), (j, -1.0))
+                - at((i, -1.0), (j, 1.0)) + at((i, -1.0), (j, -1.0))
+            ) / (4.0 * h[i] * h[j])
+    return hess
 
 
 class TestEstimandGradients:
