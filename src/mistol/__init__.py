@@ -10,6 +10,7 @@ and seeded Monte Carlo verification.
 from .estimators import (
     AEstimator,
     AtomPrior,
+    BoundaryFitError,
     DensityPrior,
     FitError,
     FitResult,

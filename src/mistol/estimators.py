@@ -529,6 +529,13 @@ class FitError(NumericsError):
         self.trace = list(trace or [])
 
 
+class BoundaryFitError(FitError):
+    """Raised when a wide fit has no finite maximum in sight: the departure
+    walks toward a boundary of the parameter space and the likelihood keeps
+    rising beyond it (see maximize_loglik). The message names the limit,
+    for example "power -> +inf"."""
+
+
 @dataclass(frozen=True)
 class FitResult:
     """One maximized likelihood, or one per row of a stack of samples.
@@ -594,7 +601,30 @@ def _fd_derivatives(f, x, f0):
     return grad, hess
 
 
-def maximize_loglik(f, x0):
+def _diverging(distances) -> bool:
+    """distances rose at every step, by at least 1.5 times overall, and end
+    above 1."""
+    rising = all(b > a for a, b in zip(distances, distances[1:]))
+    return rising and distances[-1] >= 1.5 * distances[0] and distances[-1] > 1.0
+
+
+def _profile_top(f, x, origin) -> float:
+    """The maximum of f over all but the last q = origin.size coordinates,
+    ascending from x, with those q pinned at origin + 10*(x[-q:] - origin);
+    -inf if that ascent raises FitError."""
+    q = origin.size
+    far = origin + 10.0 * (x[-q:] - origin)
+
+    def profile(z):
+        return f(np.concatenate([z, np.broadcast_to(far, z.shape[:-1] + (q,))], axis=-1))
+
+    try:
+        return maximize_loglik(profile, x[:-q])[1]
+    except FitError:
+        return -math.inf
+
+
+def maximize_loglik(f, x0, *, departure=None):
     """Safeguarded Newton ascent with step-halving, at most 200 steps.
 
     f maps a point (k,) to its value and a stack (m, k) to its m values (an
@@ -607,12 +637,25 @@ def maximize_loglik(f, x0):
     than its own rounding (Boyd & Vandenberghe 2004, section 9.5). Any
     other end raises FitError with the iteration trace; an f that does not
     keep the stack contract raises TypeError.
+
+    departure, which only _newton_fit sets (for a wide fit), maps the names
+    of the last q coordinates of x, the departure gamma, to their null
+    values gamma0. The ascent then raises BoundaryFitError, with the trace,
+    when the departure diverges: |gamma - gamma0| rose in each of the last
+    10 iterations, by at least 1.5 times over them, and is above 1, and
+    the profile maximum at gamma0 + 10*(gamma - gamma0) (the other
+    coordinates maximized from x by this function; a profile that raises
+    does not count) exceeds loglik by more than 8 times the Newton
+    decrement, so no local maximum near x explains the rise. The profile
+    is tried at most once every 10 iterations.
     """
     x = np.asarray(x0, dtype=float).copy()
     loglik = f(x)
     if not np.isfinite(loglik):
         raise FitError("starting point lies outside the likelihood support")
-    trace = []
+    names = list(departure or ())
+    origin = np.array([departure[name] for name in names], dtype=float)
+    trace, distances, next_check = [], [], 10
     for iteration in range(200):
         grad, hess = _fd_derivatives(f, x, loglik)
         gnorm = float(np.linalg.norm(grad))
@@ -624,6 +667,17 @@ def maximize_loglik(f, x0):
             decrement = float(step @ grad)
         except np.linalg.LinAlgError:
             decrement = math.nan
+        if names:
+            away = x[-len(names):] - origin
+            distances.append(float(np.linalg.norm(away)))
+            if iteration >= next_check and _diverging(distances[-11:]):
+                next_check = iteration + 10
+                if _profile_top(f, x, origin) > loglik + 8.0 * decrement:
+                    j = int(np.argmax(np.abs(away)))
+                    raise BoundaryFitError(
+                        "no finite maximum: the log-likelihood keeps rising as "
+                        f"{names[j]} -> {'+' if away[j] > 0 else '-'}inf", trace
+                    )
         if not decrement > 0.0:  # the Newton step does not ascend
             step = grad / max(1.0, float(np.linalg.norm(grad)))
         scale = 1.0
@@ -763,14 +817,18 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
 
 def _newton_fit(model, y, design, wide) -> FitResult:
     """Newton ascent from theta0, or for a wide fit from the narrow fit
-    followed by gamma0, certified by maximize_loglik itself; a TypeError
+    followed by gamma0, certified by maximize_loglik itself, which watches a
+    wide fit's departure for a boundary (BoundaryFitError); a TypeError
     from it, such as a broken stack contract, names the model."""
     if wide:
         start = np.concatenate([fit_narrow(model, y, design).theta, model.gamma0])
     else:
         start = np.asarray(model.theta0, dtype=float)
+    departure = dict(zip(model.param_names[model.p:], model.gamma0)) if wide else None
     try:
-        params, loglik, iterations, gnorm = maximize_loglik(_loglik(model, y, design, wide), start)
+        params, loglik, iterations, gnorm = maximize_loglik(
+            _loglik(model, y, design, wide), start, departure=departure
+        )
     except TypeError as err:
         raise TypeError(f"log density of {model.name!r}: {err}") from err
     return _fit_result(model, wide, params, loglik, gnorm, iterations, "newton")

@@ -172,6 +172,9 @@ class Estimand:
 class ModelSpec:
     """One narrow/wide pair.
 
+    param_names names theta's p entries, then gamma's q; a wide Newton fit
+    that diverges names its limit by them (estimators.BoundaryFitError).
+
     Callable fields share these signatures:
       log_density(y, design, theta, gamma) -> (n,) per-observation values
           (-inf outside the support or parameter domain)
@@ -237,9 +240,6 @@ class ModelSpec:
                 f"model {self.name!r} has no estimand {name!r} (known: {known})"
             ) from None
         return factory(design, **params)
-
-    def loglik(self, y, design, theta, gamma) -> float:
-        return float(np.sum(self.log_density(y, design, theta, gamma)))
 
 
 def information_at_null(model: ModelSpec, design: Design, theta=None) -> PartitionedInfo:

@@ -8,6 +8,7 @@ import pytest
 from mistol import estimators
 from mistol.estimators import (
     AtomPrior,
+    BoundaryFitError,
     DensityPrior,
     FitError,
     PRETEST_PRESETS,
@@ -432,7 +433,7 @@ class TestFitting:
         def profile(g):
             # theta maximizing the likelihood for fixed shape g
             th = float(np.mean(y**g)) ** (-1.0 / g)
-            return model.loglik(y, design, np.array([th]), np.array([g]))
+            return float(np.sum(model.log_density(y, design, np.array([th]), np.array([g]))))
 
         grid = np.linspace(0.5, 2.5, 4001)
         values = [profile(g) for g in grid]
@@ -580,14 +581,18 @@ def newton_decrement(model, y, design, fit):
     return float(np.linalg.solve(hess, -grad) @ grad)
 
 
-# Wide fits whose line search stalls just above the gradient bar, met in
-# routine study cells: (model, n, delta, seed, replication).
+# Wide fits whose line search stalls above the gradient bar, met in routine
+# study cells: (model, n, delta, seed, replication). The two logistic-eta
+# fits stall at 1,650 and 1,530 times the bar after walking the power
+# toward 0, where the boundary check does not look, and stay certified.
 @pytest.mark.parametrize("name, n, delta, seed, r", [
     ("gamma-vs-exp", 100, 0.0, 21, 28),
     ("varhet-regression", 200, 0.5, 3, 35),
     ("transform-constant", 200, 0.5, 3, 19),
     ("transform-regression", 200, 0.5, 3, 88),
     ("logistic-quadratic", 150, 0.5, 7, 22),
+    ("logistic-eta", 200, 0.5, 7, 40),
+    ("logistic-eta", 200, 0.5, 14, 48),
 ])
 def test_stall_at_the_rounding_floor_is_certified(name, n, delta, seed, r):
     model, y, design = study_replication(name, n, delta, seed, r)
@@ -602,6 +607,51 @@ def test_stall_above_the_rounding_floor_still_raises():
     model, y, design = study_replication("logistic-eta", 200, 0.5, 3, 46)
     with pytest.raises(FitError, match="line search stalled"):
         fit_wide(model, y, design)
+
+
+def profile_loglik(model, y, design, theta, gamma):
+    """The log-likelihood maximized over theta, from theta, with gamma pinned."""
+    def f(z):
+        return np.sum(model.log_density(y, design, z, np.broadcast_to(gamma, z.shape[:-1] + (1,))), axis=-1)
+
+    return maximize_loglik(f, theta)[1]
+
+
+def test_diverging_power_raises_boundary_fit_error():
+    # the power walked from 1.97 to 312 over all 200 iterations before
+    model, y, design = study_replication("logistic-eta", 200, 0.5, 0, 0)
+    with pytest.raises(BoundaryFitError, match=r"power -> \+inf") as caught:
+        fit_wide(model, y, design)
+    assert isinstance(caught.value, FitError)
+    assert len(caught.value.trace) <= 40
+    fit, kept = fit_rows(model, y[None], design, wide=True)  # a study counts it as failed
+    assert fit is None and kept.size == 0
+    # the limit the error names is the one the profile shows
+    theta = fit_narrow(model, y, design).theta
+    profile = [profile_loglik(model, y, design, theta, eta) for eta in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0)]
+    assert np.all(np.diff(profile) > 0.0)
+
+
+# logistic-eta wide fits at n 200, delta 0.5 that still fit as before, bit for
+# bit: (seed, replication, params, loglik, iterations). The first two are
+# the interior maxima at the largest power, where the profile turns; the
+# others walk the power toward 0, which the boundary check leaves alone
+# (|power - 1| stays below 1): two long walks, and the two stalls certified
+# far above the gradient bar.
+@pytest.mark.parametrize("seed, r, params, loglik, iterations", [
+    (2, 12, [2.9377186860510514, 1.2226265586155014, 22.12808784789231], -112.33810224070737, 111),
+    (3, 91, [2.66894083109967, 0.6969907293733412, 10.645322938048633], -119.97661263775792, 106),
+    (13, 58, [-3.6514409925297544, 1.1820265656856226, 0.17609701840996306], -128.56741684795003, 67),
+    (13, 80, [-30.467618438412977, 12.087783324982382, 0.019914856168520588], -117.72845283652681, 145),
+    (7, 40, [-713.5576496693355, 374.9678558615634, 0.0011779483875514725], -106.85706156603503, 148),
+    (14, 48, [-713.4639777538353, 363.52604682176633, 0.0011998892430346603], -111.46237075102307, 143),
+])
+def test_fits_near_the_boundary_keep_their_bits(seed, r, params, loglik, iterations):
+    model, y, design = study_replication("logistic-eta", 200, 0.5, seed, r)
+    fit = fit_wide(model, y, design)
+    assert np.array_equal(fit.params, params)
+    assert fit.loglik == loglik
+    assert fit.iterations == iterations
 
 
 CLOSED_FORM_MODELS = (
@@ -811,8 +861,8 @@ class TestStackedFits:
         fit_wide(base, y, design)  # the unwrapped model fits this sample
         for log_density in (float_first, first_row):
             model = dataclasses.replace(base, log_density=log_density)
-            assert model.loglik(y, design, [0.1, 0.9], [0.0]) == base.loglik(
-                y, design, [0.1, 0.9], [0.0]
+            assert float(np.sum(model.log_density(y, design, [0.1, 0.9], [0.0]))) == float(
+                np.sum(base.log_density(y, design, [0.1, 0.9], [0.0]))
             )
             for fit in (fit_narrow, fit_wide):
                 with pytest.raises(TypeError, match="'logistic-quadratic'"):

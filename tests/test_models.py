@@ -274,7 +274,7 @@ class TestLogisticReduction:
         theta = np.array([0.2, 0.8])
         p = 1.0 / (1.0 + np.exp(-(theta[0] + theta[1] * x)))
         y = (rng.uniform(size=40) < p).astype(float)
-        got = model.loglik(y, design, theta, np.array([1.0]))
+        got = float(np.sum(model.log_density(y, design, theta, np.array([1.0]))))
         want = float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -289,9 +289,9 @@ class TestLogisticSaturation:
         ones, zeros = np.ones(20), np.zeros(20)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert model.loglik(ones, design, np.array([800.0, 0.0]), gamma) == 0.0
-            assert model.loglik(zeros, design, np.array([-800.0, 0.0]), gamma) == 0.0
-            assert model.loglik(zeros, design, np.array([800.0, 0.0]), gamma) == -math.inf
+            assert float(np.sum(model.log_density(ones, design, np.array([800.0, 0.0]), gamma))) == 0.0
+            assert float(np.sum(model.log_density(zeros, design, np.array([-800.0, 0.0]), gamma))) == 0.0
+            assert float(np.sum(model.log_density(zeros, design, np.array([800.0, 0.0]), gamma))) == -math.inf
 
 
 
@@ -424,7 +424,7 @@ class TestNewtonPathArithmetic:
         p = model.p
 
         def f(x):  # the one-point objective, one call of f per point
-            return model.loglik(y, design, x[:p], x[p:])
+            return float(np.sum(model.log_density(y, design, x[:p], x[p:])))
 
         for theta, gamma in self.points(model):
             x = np.append(theta, gamma)
