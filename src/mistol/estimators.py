@@ -551,6 +551,10 @@ class FitResult:
     theta, gamma, loglik and grad_norm, and iterations is the total over
     the rows (0 for closed fits). Every row is fitted and certified: a
     stack with a row that fails raises that row's error instead.
+
+    A narrow fit is closed when the model sets narrow_fit_exact, a wide
+    fit when it sets wide_fit_exact, and Newton's otherwise; FitResult does
+    not record which (an intended public change: its method field is gone).
     """
 
     params: np.ndarray
@@ -559,7 +563,6 @@ class FitResult:
     loglik: float
     iterations: int
     grad_norm: float
-    method: str
 
 
 @functools.lru_cache(maxsize=8)
@@ -635,7 +638,8 @@ def maximize_loglik(f, x0, *, departure=None):
     an ascending Newton step raises f, when the Newton decrement
     g'(-H)^{-1}g is at most 4e-15*(1+|loglik|): f then cannot rise by more
     than its own rounding (Boyd & Vandenberghe 2004, section 9.5). Any
-    other end raises FitError with the iteration trace; an f that does not
+    other end raises FitError with the iteration trace, a gradient that is
+    not finite at once as a stalled line search; an f that does not
     keep the stack contract raises TypeError.
 
     departure, which only _newton_fit sets (for a wide fit), maps the names
@@ -662,6 +666,8 @@ def maximize_loglik(f, x0, *, departure=None):
         trace.append((float(loglik), gnorm))
         if gnorm <= 1e-8 * (1.0 + abs(loglik)):
             return x, float(loglik), iteration, gnorm
+        if not math.isfinite(gnorm):  # no step can be taken along it
+            raise FitError(f"line search stalled at gradient norm {gnorm:.3e}", trace)
         try:
             step = np.linalg.solve(hess, -grad)
             decrement = float(step @ grad)
@@ -707,7 +713,7 @@ def _checked_sample(model, y, design) -> np.ndarray:
     return y
 
 
-def _fit_result(model, wide, params, loglik, gnorm, iterations, method):
+def _fit_result(model, wide, params, loglik, gnorm, iterations):
     """The FitResult of params, (k,) for one sample or (B, k) for a stack,
     with loglik and gnorm a float or a (B,) array to match."""
     p = model.p
@@ -718,7 +724,6 @@ def _fit_result(model, wide, params, loglik, gnorm, iterations, method):
         loglik=_float_or_array(loglik),
         iterations=iterations,
         grad_norm=_float_or_array(gnorm),
-        method=method,
     )
 
 
@@ -727,7 +732,7 @@ def _stacked(model, wide, fits) -> FitResult:
     return _fit_result(
         model, wide, np.array([one.params for one in fits]),
         np.array([one.loglik for one in fits]), np.array([one.grad_norm for one in fits]),
-        sum(one.iterations for one in fits), "newton",
+        sum(one.iterations for one in fits),
     )
 
 
@@ -812,7 +817,7 @@ def _closed_fit(model, y, design, exact, wide) -> FitResult:
             f"closed fit of {model.name!r} reports gradient norm {first_gnorm:.3e} "
             f"above tolerance{hint}", [(float(first_ll), float(first_gnorm))]
         )
-    return _fit_result(model, wide, params, ll, gnorm, 0, "closed")
+    return _fit_result(model, wide, params, ll, gnorm, 0)
 
 
 def _newton_fit(model, y, design, wide) -> FitResult:
@@ -831,7 +836,7 @@ def _newton_fit(model, y, design, wide) -> FitResult:
         )
     except TypeError as err:
         raise TypeError(f"log density of {model.name!r}: {err}") from err
-    return _fit_result(model, wide, params, loglik, gnorm, iterations, "newton")
+    return _fit_result(model, wide, params, loglik, gnorm, iterations)
 
 
 def _fit(model, y, design, wide) -> FitResult:

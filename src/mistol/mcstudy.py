@@ -243,7 +243,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
 
         infos = np.array(_fit_each(config, gamma0, design, score_covariances))
         inv, kept, _ = rows_that_hold(
-            lambda rows: partitioned_inverse(PartitionedInfo.from_full(infos[rows], p)), len(infos)
+            lambda rows: partitioned_inverse(PartitionedInfo(infos[rows], p)), len(infos)
         )
         failures = _checked_failures(config, reps - len(kept))
         kappas = np.sqrt(inv.inv22[:, 0, 0])
@@ -254,7 +254,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
             failures=failures,
             kappa=float(np.mean(kappas)),
             se=float(np.std(kappas, ddof=1) / math.sqrt(len(kappas))),
-            info=PartitionedInfo.from_full(np.mean(infos[kept], axis=0), p),
+            info=PartitionedInfo(np.mean(infos[kept], axis=0), p),
         )
 
     def wide_params(ys):

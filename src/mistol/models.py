@@ -261,7 +261,7 @@ def information_at_null(model: ModelSpec, design: Design, theta=None) -> Partiti
     k = model.p + model.q
     if full.shape[1:] != (k, k):
         raise ValueError(f"{model.name!r} information must be ({k}, {k}), not {full.shape[1:]}")
-    info = PartitionedInfo.from_full(full if theta.ndim == 2 else full[0], model.p)
+    info = PartitionedInfo(full if theta.ndim == 2 else full[0], model.p)
     eigs = np.linalg.eigvalsh(info.matrix)
     if np.any(eigs[..., 0] <= 1e-12 * np.maximum(eigs[..., -1], 1.0)):
         raise NumericsError(
@@ -1141,7 +1141,10 @@ def _bernoulli_log_density(y, p):
 
 
 def _bernoulli_nodes(p):
-    """Null quadrature of binary responses with success probabilities p (n,)."""
+    """Null quadrature of binary responses with success probabilities p (n,):
+    the two outcomes with their probabilities, exact, so the information of
+    a Bernoulli model is information_generic on it (neither built-in has a
+    closed_information; an intended public change)."""
     return np.broadcast_to(np.array([0.0, 1.0]), (p.size, 2)), np.column_stack([1.0 - p, p])
 
 
@@ -1160,13 +1163,6 @@ def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         t = _centered(design)
         e = np.asarray(y, dtype=float) - null_probs(design, theta)
         return np.column_stack([e, e * t]), (e * t * t)[:, None]
-
-    def closed_information(theta, design):
-        t = _centered(design)
-        p = null_probs(design, theta)
-        w = p * (1.0 - p)
-        cols = np.column_stack([np.ones_like(t), t, t * t])
-        return (cols * w[:, None]).T @ cols / design.n
 
     def prob_at(design, x0=None):
         t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
@@ -1189,7 +1185,6 @@ def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         ).astype(float),
         default_design=lambda n: uniform_grid_design(int(n), 4.0),
         null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
-        closed_information=closed_information,
         data_check=_check_binary,
         estimand_factories={"prob-at": prob_at},
         default_estimand="prob-at",
@@ -1223,19 +1218,6 @@ def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         v = (e * np.log(p) / (1.0 - p))[:, None]
         return u, v
 
-    def closed_information(theta, design):
-        x = design.column(0)
-        p = null_probs(design, theta)
-        logp = np.log(p)
-        w = p * (1.0 - p)
-        wx = float(np.mean(w * x))
-        plogp, plogp_x = float(np.mean(p * logp)), float(np.mean(p * logp * x))
-        return np.array([
-            [float(np.mean(w)), wx, plogp],
-            [wx, float(np.mean(w * x * x)), plogp_x],
-            [plogp, plogp_x, float(np.mean(p * logp**2 / (1.0 - p)))],
-        ])
-
     def prob_at(design, x0=None):
         x0 = _x0_or_max(design, x0)
         return Estimand(
@@ -1255,7 +1237,6 @@ def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
         ).astype(float),
         default_design=lambda n: uniform_grid_design(int(n), 2.0),
         null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
-        closed_information=closed_information,
         data_check=_check_binary,
         estimand_factories={"prob-at": prob_at},
         default_estimand="prob-at",

@@ -173,63 +173,55 @@ def shifted_normal_nodes(shift: float, knots=()):
 # partitioned information matrices
 
 
-def _as_symmetric(m, label: str) -> np.ndarray:
+def _as_symmetric(m) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"{label} block must be square, got shape {m.shape}")
+        raise ValueError(f"information matrix must be square, got shape {m.shape}")
     mt = np.swapaxes(m, -1, -2)
     scale = np.maximum(1.0, np.maximum(np.abs(m), np.abs(mt)))
     if (np.abs(m - mt) > 1e-8 * scale).any():
-        raise ValueError(f"{label} block is not symmetric")
+        raise ValueError("information matrix is not symmetric")
     return 0.5 * (m + mt)
 
 
 @dataclass(frozen=True)
 class PartitionedInfo:
-    """Per-observation information matrix split into narrow and extra blocks.
+    """Per-observation information matrix, split after its first p rows
+    and columns into narrow and extra blocks.
 
-    j11 is the p x p block for the protected parameters, j22 the q x q block
-    for the departure parameters, j12 the p x q cross block. The blocks may
-    carry a leading row axis, a stack of matrices (one per replication).
+    matrix is (p+q, p+q), or a stack (R, p+q, p+q) with one matrix per
+    replication; it is stored as 0.5*(m + m') and must be symmetric to
+    1e-8 relative entry by entry. j11 is the p x p block for the protected
+    parameters, j22 the q x q block for the departure parameters, j12 the
+    p x q cross block: views of matrix. (An intended public change: the
+    constructor from three blocks and from_full are gone.)
     """
 
-    j11: np.ndarray
-    j12: np.ndarray
-    j22: np.ndarray
+    matrix: np.ndarray
+    p: int
 
     def __post_init__(self):
-        j11 = _as_symmetric(self.j11, "narrow")
-        j22 = _as_symmetric(self.j22, "departure")
-        j12 = np.atleast_2d(np.asarray(self.j12, dtype=float))
-        if j12.shape != j11.shape[:-1] + j22.shape[-1:]:
-            raise ValueError(
-                f"cross block has shape {j12.shape}, expected "
-                f"{j11.shape[:-1] + j22.shape[-1:]}"
-            )
-        object.__setattr__(self, "j11", j11)
-        object.__setattr__(self, "j12", j12)
-        object.__setattr__(self, "j22", j22)
-
-    @property
-    def p(self) -> int:
-        return self.j11.shape[-1]
+        matrix = _as_symmetric(self.matrix)
+        k = matrix.shape[-1]
+        if not 0 < self.p < k:
+            raise ValueError(f"narrow dimension {self.p} must split a {k} x {k} matrix")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def q(self) -> int:
-        return self.j22.shape[-1]
+        return self.matrix.shape[-1] - self.p
 
     @property
-    def matrix(self) -> np.ndarray:
-        top = np.concatenate([self.j11, self.j12], axis=-1)
-        bottom = np.concatenate([np.swapaxes(self.j12, -1, -2), self.j22], axis=-1)
-        return np.concatenate([top, bottom], axis=-2)
+    def j11(self) -> np.ndarray:
+        return self.matrix[..., :self.p, :self.p]
 
-    @classmethod
-    def from_full(cls, full, p: int) -> "PartitionedInfo":
-        full = _as_symmetric(full, "full information")
-        if not 0 < p < full.shape[-1]:
-            raise ValueError("narrow dimension must split the matrix")
-        return cls(full[..., :p, :p], full[..., :p, p:], full[..., p:, p:])
+    @property
+    def j12(self) -> np.ndarray:
+        return self.matrix[..., :self.p, self.p:]
+
+    @property
+    def j22(self) -> np.ndarray:
+        return self.matrix[..., self.p:, self.p:]
 
 
 def rows_that_hold(evaluate, count: int):
@@ -281,15 +273,16 @@ def _chol_inverse(m: np.ndarray, block: str, scale=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionedInverse:
-    """Blocks of the inverse of a partitioned information matrix.
+    """The two blocks of the inverse of a partitioned information matrix
+    that the package reads.
 
     inv22 is the lower-right block of the full inverse: the limiting
     covariance of the departure-parameter estimator in the wide model.
-    inv11 and inv12 are the matching upper-left and cross blocks.
+    j11_inv is the inverse of the narrow block. (An intended public
+    change: the upper-left and cross blocks of the full inverse, inv11 and
+    inv12, are no longer computed.)
     """
 
-    inv11: np.ndarray
-    inv12: np.ndarray
     inv22: np.ndarray
     j11_inv: np.ndarray = field(repr=False)
 
@@ -301,22 +294,17 @@ def partitioned_inverse(info: PartitionedInfo) -> PartitionedInverse:
     block or the Schur complement is not positive definite; for a stacked
     info, if that holds for any row.
     """
-    single = info.j11.ndim == 2
+    single = info.matrix.ndim == 2
     j11, j12, j22 = (b[None] if single else b for b in (info.j11, info.j12, info.j22))
     j11_inv = _chol_inverse(j11, "narrow")
-    j21 = np.swapaxes(j12, -1, -2)
-    subtracted = j21 @ j11_inv @ j12
+    subtracted = np.swapaxes(j12, -1, -2) @ j11_inv @ j12
     schur = j22 - subtracted
     schur_scale = np.maximum(
         np.max(np.abs(np.diagonal(j22, axis1=-2, axis2=-1)), axis=-1),
         np.max(np.abs(np.diagonal(subtracted, axis1=-2, axis2=-1)), axis=-1),
     )
     inv22 = _chol_inverse(0.5 * (schur + np.swapaxes(schur, -1, -2)), "schur", schur_scale)
-    inv12 = -j11_inv @ j12 @ inv22
-    inv11 = j11_inv + j11_inv @ j12 @ inv22 @ j21 @ j11_inv
-    inv11 = 0.5 * (inv11 + np.swapaxes(inv11, -1, -2))
-    blocks = (inv11, inv12, inv22, j11_inv)
-    return PartitionedInverse(*(b[0] if single else b for b in blocks))
+    return PartitionedInverse(*(b[0] if single else b for b in (inv22, j11_inv)))
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ def test_score_cov_failed_rows():
         scores = np.column_stack(model.score_null(y, design, theta))
         centered = scores - scores.mean(axis=0)
         try:
-            inv = partitioned_inverse(PartitionedInfo.from_full(centered.T @ centered / n, 1))
+            inv = partitioned_inverse(PartitionedInfo(centered.T @ centered / n, 1))
         except NumericsError:
             continue
         kappas.append(math.sqrt(inv.inv22[0, 0]))

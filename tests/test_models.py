@@ -87,6 +87,29 @@ class TestInformationRoutes:
             scale = np.max(np.abs(closed))
             assert np.allclose(closed, generic, atol=1e-8 * scale), model.name
 
+    @pytest.mark.parametrize("name", ["logistic-quadratic", "logistic-eta"])
+    @pytest.mark.parametrize("n", [7, 200])
+    @pytest.mark.parametrize("theta", [None, (0.5, -1.2), (-1.0, 2.5)])
+    def test_bernoulli_information_is_the_textbook_matrix(self, name, n, theta):
+        # mean(p(1-p) d d') with d the derivative of the logit of p at
+        # gamma0: (1, t, t^2) for the quadratic, (1, x, log p/(1-p)) for
+        # the power; the exact two-point quadrature gives it
+        model = get_model(name)
+        assert model.closed_information is None
+        design = model.default_design(n)
+        a, b = model.theta0 if theta is None else theta
+        x = design.column(0)
+        if name == "logistic-quadratic":
+            t = x - float(np.mean(x))
+            prob = special.expit(a + b * t)
+            d = np.column_stack([np.ones(n), t, t * t])
+        else:
+            prob = special.expit(a + b * x)
+            d = np.column_stack([np.ones(n), x, np.log(prob) / (1.0 - prob)])
+        textbook = (d * (prob * (1.0 - prob))[:, None]).T @ d / n
+        got = information_at_null(model, design, theta).matrix
+        assert np.allclose(got, textbook, rtol=0.0, atol=1e-13 * np.max(np.abs(textbook)))
+
     def test_null_scores_have_zero_mean_under_quadrature(self):
         for model in builtin_catalogue():
             design = small_design(model)

@@ -196,20 +196,14 @@ class TestPartitionedInverse:
             k = p + q
             root = rng.standard_normal((k, k))
             full = root @ root.T + k * np.eye(k)
-            info = PartitionedInfo.from_full(full, p)
+            info = PartitionedInfo(full, p)
             inv = partitioned_inverse(info)
             oracle = gauss_jordan_inverse(full)
-            assert np.allclose(inv.inv11, oracle[:p, :p], atol=1e-8)
-            assert np.allclose(inv.inv12, oracle[:p, p:], atol=1e-8)
             assert np.allclose(inv.inv22, oracle[p:, p:], atol=1e-8)
             assert np.allclose(inv.j11_inv, gauss_jordan_inverse(full[:p, :p]), atol=1e-8)
 
     def test_singular_narrow_block(self):
-        info = PartitionedInfo(
-            np.array([[1.0, 1.0], [1.0, 1.0]]),
-            np.zeros((2, 1)),
-            np.array([[1.0]]),
-        )
+        info = PartitionedInfo(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 2)
         with pytest.raises(SingularBlockError) as err:
             partitioned_inverse(info)
         assert err.value.block == "narrow"
@@ -219,7 +213,7 @@ class TestPartitionedInverse:
         j12 = np.array([[1.0]])
         j22 = np.array([[0.5]])  # exactly j21 j11^{-1} j12
         with pytest.raises(SingularBlockError) as err:
-            partitioned_inverse(PartitionedInfo(j11, j12, j22))
+            partitioned_inverse(PartitionedInfo(np.block([[j11, j12], [j12.T, j22]]), 1))
         assert err.value.block == "schur"
 
     def test_stack_raises_a_failing_rows_error_and_matches_single_calls(self):
@@ -233,13 +227,13 @@ class TestPartitionedInverse:
 
         def inverse(rows):
             stack = np.array([fulls[r] for r in rows])
-            return partitioned_inverse(PartitionedInfo.from_full(stack, 2))
+            return partitioned_inverse(PartitionedInfo(stack, 2))
 
         # the whole stack holds the singular-narrow row; without it, the
         # singular-Schur row fails; each raises its own single call's error
         for rows, failing, block in (([0, 1, 2, 3, 4], 1, "narrow"), ([0, 2, 3, 4], 3, "schur")):
             with pytest.raises(SingularBlockError) as single:
-                partitioned_inverse(PartitionedInfo.from_full(fulls[failing], 2))
+                partitioned_inverse(PartitionedInfo(fulls[failing], 2))
             with pytest.raises(SingularBlockError) as stacked:
                 inverse(rows)
             assert single.value.block == stacked.value.block == block
@@ -247,20 +241,55 @@ class TestPartitionedInverse:
         held = [0, 2, 4]
         stacked = inverse(held)
         for i, r in enumerate(held):
-            single = partitioned_inverse(PartitionedInfo.from_full(fulls[r], 2))
-            for block in ("inv11", "inv12", "inv22", "j11_inv"):
+            single = partitioned_inverse(PartitionedInfo(fulls[r], 2))
+            for block in ("inv22", "j11_inv"):
                 assert np.array_equal(getattr(stacked, block)[i], getattr(single, block))
 
     def test_symmetry_enforced(self):
         full = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ValueError):
-            PartitionedInfo.from_full(full, 1)
+            PartitionedInfo(full, 1)
 
-    def test_from_full_roundtrip(self):
+    def test_matrix_roundtrip(self):
         full = np.array([[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 4.0]])
-        info = PartitionedInfo.from_full(full, 2)
+        info = PartitionedInfo(full, 2)
         assert info.p == 2 and info.q == 1
         assert np.allclose(info.matrix, full)
+
+
+class TestPartitionedInfo:
+    def test_blocks_are_views_of_the_symmetrized_matrix(self):
+        rng = np.random.default_rng(5)
+        root = rng.standard_normal((3, 4, 4))
+        # symmetric to about 1e-16, not exactly
+        stack = root @ np.swapaxes(root, -1, -2) + 1e-16 * rng.standard_normal((3, 4, 4))
+        for m, p in ((stack[0], 1), (stack[0], 3), (stack, 2)):
+            info = PartitionedInfo(m, p)
+            mt = np.swapaxes(m, -1, -2)
+            assert np.array_equal(info.matrix, 0.5 * (m + mt))
+            assert info.q == 4 - p
+            for block, rows, cols in (
+                (info.j11, slice(None, p), slice(None, p)),
+                (info.j12, slice(None, p), slice(p, None)),
+                (info.j22, slice(p, None), slice(p, None)),
+            ):
+                assert np.shares_memory(block, info.matrix)
+                assert np.array_equal(block, info.matrix[..., rows, cols])
+
+    @pytest.mark.parametrize(
+        "matrix, p, message",
+        [
+            (np.ones((2, 3)), 1, "must be square"),
+            # 1e-7 off symmetric is small against the 1e6 entry, not against 0.5
+            ([[1.0, 0.5, 0.0], [0.5 + 1e-7, 1.0, 0.0], [0.0, 0.0, 1e6]], 2, "not symmetric"),
+            (np.eye(3), 0, "must split"),
+            (np.eye(3), 3, "must split"),
+        ],
+        ids=["not-square", "not-symmetric", "p-0", "p-k"],
+    )
+    def test_invalid_matrix_raises(self, matrix, p, message):
+        with pytest.raises(ValueError, match=message):
+            PartitionedInfo(matrix, p)
 
 
 class TestReplicationRng:

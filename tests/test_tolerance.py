@@ -104,7 +104,7 @@ class TestDangerIndex:
         rng = np.random.default_rng(5)
         base = rng.standard_normal((6, 4))
         full = base.T @ base + 4.0 * np.eye(4)
-        info = PartitionedInfo.from_full(full, 3)
+        info = PartitionedInfo(full, 3)
         d, rho2 = danger_index(info)
         # squared correlation of V with the best linear combination t'U,
         # which is t* = J11^{-1} J12
@@ -117,7 +117,7 @@ class TestDangerIndex:
 
     def test_needs_scalar_departure(self):
         full = np.eye(4) * 2.0
-        info = PartitionedInfo.from_full(full, 2)
+        info = PartitionedInfo(full, 2)
         with pytest.raises(ValueError):
             danger_index(info)
 
@@ -136,7 +136,7 @@ class TestNarrowBetter:
         rng = np.random.default_rng(11)
         base = rng.standard_normal((7, 5))
         full = base.T @ base + 5.0 * np.eye(5)
-        info = PartitionedInfo.from_full(full, 3)
+        info = PartitionedInfo(full, 3)
         block = kappa_squared_block(info)
         direction = np.array([1.0, -2.0])
         scale = math.sqrt(float(direction @ np.linalg.solve(block, direction)))
@@ -149,7 +149,7 @@ class TestNarrowBetter:
         rng = np.random.default_rng(12)
         base = rng.standard_normal((7, 5))
         full = base.T @ base + 5.0 * np.eye(5)
-        info = PartitionedInfo.from_full(full, 3)
+        info = PartitionedInfo(full, 3)
         block = kappa_squared_block(info)
         b = np.array([0.7, -0.3])
         width = math.sqrt(float(b @ block @ b))
