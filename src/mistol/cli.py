@@ -50,8 +50,8 @@ def _echo_config(ns: argparse.Namespace):
 
 def _build_model(family: str, section) -> "object":
     """The built-in model family with the parameters of a [model] section
-    (every key but family); an unknown name or a bad parameter is a
-    UsageError."""
+    (every key but family); an unknown name or a bad parameter (not a
+    number, unknown, or out of range) is a UsageError."""
     kwargs = {}
     for key, raw in section.items():
         if key == "family":
@@ -62,7 +62,7 @@ def _build_model(family: str, section) -> "object":
             raise UsageError(f"model parameter {key}={raw!r} is not numeric") from None
     try:
         return get_model(family, **kwargs)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(exc.args[0]) from None
 
 
@@ -430,6 +430,8 @@ def cmd_select(ns) -> int:
         raise UsageError("q must be at least 1")
     if not all(0.0 < level < 1.0 for level in levels):
         raise UsageError(f"--level must list levels in (0, 1), got {ns.level!r}")
+    if ns.n is not None and ns.n < 2:
+        raise UsageError(f"--n must be at least 2 for the log(n) penalty, got {ns.n}")
     a = float(ns.a)
     ncp = a * a
     print(f"departure size a: {a!r} (noncentrality {ncp!r})")

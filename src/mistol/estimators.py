@@ -871,8 +871,7 @@ def fit_rows(model: ModelSpec, y, design: Design, wide: bool) -> tuple:
     """
     fit = fit_wide if wide else fit_narrow
     if (model.wide_fit_exact if wide else model.narrow_fit_exact) is not None:
-        result, kept, _ = rows_that_hold(lambda rows: fit(model, y[rows], design), len(y))
-        return result, kept
+        return rows_that_hold(lambda rows: fit(model, y[rows], design), len(y))
     fits, kept = [], []
     for r, row in enumerate(y):
         try:

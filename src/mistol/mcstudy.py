@@ -213,8 +213,12 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     the per-observation wide scores there; full-ml-cov scales the
     empirical covariance of the wide ML estimates by n; gamma-sd is the
     standard deviation of sqrt(n)*(gamma_hat - gamma0). The first two also
-    return the matrix they estimated. The study runs at one sample size, so
-    config.n_list must hold exactly one; a longer list raises ValueError.
+    return the matrix they estimated. score-cov's kappa is the mean of the
+    per-replication plug-in kappas and its se is their spread over
+    sqrt(replications): se does not bound score-cov's finite-n bias, which
+    read +1% to +7% against the analytic kappa at n = 400 on every
+    built-in. The study runs at one sample size, so config.n_list must hold
+    exactly one; a longer list raises ValueError.
     """
     if len(config.n_list) != 1:
         raise ValueError(
@@ -242,7 +246,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
             return out
 
         infos = np.array(_fit_each(config, gamma0, design, score_covariances))
-        inv, kept, _ = rows_that_hold(
+        inv, kept = rows_that_hold(
             lambda rows: partitioned_inverse(PartitionedInfo(infos[rows], p)), len(infos)
         )
         failures = _checked_failures(config, reps - len(kept))
@@ -364,7 +368,7 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
 
     fits = _fit_each(config, gamma_true, design, fit_both)
     thetas, gamma_hat, mu_n, mu_w = map(np.array, zip(*fits))
-    geom, kept, _ = rows_that_hold(
+    geom, kept = rows_that_hold(
         lambda rows: limit_geometry(model, design, estimand, theta=thetas[rows]), len(thetas)
     )
     if geom is None:
@@ -412,7 +416,7 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
                     for _, est in estimators
                 ])
 
-            estimates, kept, _ = rows_that_hold(evaluate, len(cell.gamma_hat))
+            estimates, kept = rows_that_hold(evaluate, len(cell.gamma_hat))
             total_failures += _checked_failures(
                 config, cell.failures + len(cell.gamma_hat) - len(kept)
             )

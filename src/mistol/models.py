@@ -134,14 +134,15 @@ def _pack_split(theta, gamma):
 class Estimand:
     """A scalar focus parameter mu(theta, gamma).
 
-    Gradients at a point use the registered closed forms when present and
-    central finite differences with step 1e-6*(1+|coordinate|) otherwise.
+    gradient(theta, gamma) -> (d mu / d theta, d mu / d gamma), when given,
+    is the closed gradient (it replaced the pair grad_theta, grad_gamma);
+    otherwise gradients are central finite differences with step
+    1e-6*(1+|coordinate|).
     """
 
     name: str
     value: Callable
-    grad_theta: Callable | None = None
-    grad_gamma: Callable | None = None
+    gradient: Callable | None = None
 
     def __call__(self, theta, gamma) -> float:
         theta, gamma = _pack_split(theta, gamma)
@@ -150,10 +151,10 @@ class Estimand:
     def gradients(self, theta, gamma):
         """(d mu / d theta, d mu / d gamma) at the given point."""
         theta, gamma = _pack_split(theta, gamma)
-        if self.grad_theta is not None and self.grad_gamma is not None:
-            gt = np.atleast_1d(np.asarray(self.grad_theta(theta, gamma), dtype=float))
-            gg = np.atleast_1d(np.asarray(self.grad_gamma(theta, gamma), dtype=float))
-            return gt, gg
+        if self.gradient is not None:
+            return tuple(
+                np.atleast_1d(np.asarray(g, dtype=float)) for g in self.gradient(theta, gamma)
+            )
         packed = np.concatenate([theta, gamma])
         p = theta.size
 
@@ -162,6 +163,17 @@ class Estimand:
 
         grad = central_gradient(on_packed, packed)
         return grad[:p], grad[p:]
+
+
+def _linear_focus(name: str, theta_weights, gamma_weights) -> Estimand:
+    """The estimand sum_j w_j x_j over x = (theta, gamma), added in that
+    order, with its constant gradient."""
+    weights = tuple(theta_weights) + tuple(gamma_weights)
+    return Estimand(
+        name,
+        lambda th, g: _linear_mean(weights, list(th) + list(g)),
+        lambda th, g: (theta_weights, gamma_weights),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +201,8 @@ class ModelSpec:
       narrow_fit_exact(y, design) -> theta_hat, when the narrow MLE is closed
       wide_fit_exact(y, design) -> (theta_hat, gamma_hat), likewise
       data_check(y, design) -> None, raising DomainError on bad data
+      estimand_factories[name](design, **params) -> Estimand; the first
+          name is the default_estimand
 
     log_density also takes a stack of parameter rows, theta (m, p) and
     gamma (m, q), against one sample y (n,) and returns (m, n): a Newton
@@ -218,7 +232,12 @@ class ModelSpec:
     wide_fit_exact: Callable | None = None
     data_check: Callable | None = None
     estimand_factories: Mapping[str, Callable] = field(default_factory=dict)
-    default_estimand: str = ""
+
+    @property
+    def default_estimand(self) -> str:
+        """The first key of estimand_factories ("" if it has none); a
+        read-only property since it replaced a field of the same name."""
+        return next(iter(self.estimand_factories), "")
 
     @property
     def p(self) -> int:
@@ -300,6 +319,18 @@ def mean_abs_departure_score(model: ModelSpec, design: Design, theta=None) -> np
 # pieces shared by the built-in families
 
 
+def _null_point(**params) -> tuple:
+    """A builder's parameters, in order, as its null point theta0. Raises
+    ValueError naming one that is not finite, or a rate or sigma that is
+    not positive."""
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"model parameter {key} must be finite, got {value!r}")
+        if key in ("rate", "sigma") and value <= 0.0:
+            raise ValueError(f"model parameter {key} must be positive, got {value!r}")
+    return tuple(params.values())
+
+
 def _iid_design(n):
     return Design(int(n))
 
@@ -309,9 +340,10 @@ def _x0_or_max(design: Design, x0) -> float:
     return float(max(design.column(0)) if x0 is None else x0)
 
 
-def _centered(design: Design) -> np.ndarray:
-    x = design.column(0)
-    return x - float(np.mean(x))
+def _centered(design: Design, x=None):
+    """x, by default covariate column 0 itself, less that column's mean."""
+    column = design.column(0)
+    return (column if x is None else x) - float(np.mean(column))
 
 
 def _linear_mean(coefs, columns):
@@ -389,27 +421,23 @@ def _require_spread(y, design=None):
         )
 
 
-def _exp_rate_mle(y, design):
-    return 1.0 / np.mean(y, axis=-1, keepdims=True)
-
-
-def _exp_null_quadrature(theta, design):
-    w, wt = _exp_unit_nodes()
-    shape = (design.n, w.size)
-    return np.broadcast_to(w / float(theta[0]), shape), np.broadcast_to(wt, shape)
-
-
 def _exponential(name: str, rate: float, data_check=_require_positive, **fields) -> ModelSpec:
     """Exponential(rate) narrow model inside a wide family whose shape has
     null value 1; fields give the wide family's own callables."""
+
+    def null_quadrature(theta, design):
+        w, wt = _exp_unit_nodes()
+        shape = (design.n, w.size)
+        return np.broadcast_to(w / float(theta[0]), shape), np.broadcast_to(wt, shape)
+
     return ModelSpec(
         name=name,
         param_names=("rate", "shape"),
-        theta0=(rate,),
+        theta0=_null_point(rate=rate),
         gamma0=(1.0,),
         default_design=_iid_design,
-        null_quadrature=_exp_null_quadrature,
-        narrow_fit_exact=_exp_rate_mle,
+        null_quadrature=null_quadrature,
+        narrow_fit_exact=lambda y, design: 1.0 / np.mean(y, axis=-1, keepdims=True),
         data_check=data_check,
         **fields,
     )
@@ -451,17 +479,11 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
         rate = (y.shape[-1] / np.sum(y**shape, axis=-1, keepdims=True)) ** (1.0 / shape)
         return rate, shape
 
-    def median_value(theta, gamma):
-        return math.log(2.0) ** (1.0 / gamma[0]) / theta[0]
-
-    def median_grad_theta(theta, gamma):
-        return [-math.log(2.0) ** (1.0 / gamma[0]) / theta[0] ** 2]
-
-    def median_grad_gamma(theta, gamma):
-        m = median_value(theta, gamma)
-        return [-m * math.log(math.log(2.0)) / gamma[0] ** 2]
-
-    median = Estimand("median", median_value, median_grad_theta, median_grad_gamma)
+    def median_gradient(th, g):
+        return (
+            [-math.log(2.0) ** (1.0 / g[0]) / th[0] ** 2],
+            [-(math.log(2.0) ** (1.0 / g[0]) / th[0]) * math.log(math.log(2.0)) / g[0] ** 2],
+        )
 
     return _exponential(
         "weibull-vs-exp",
@@ -472,13 +494,14 @@ def weibull_vs_exp(rate: float = 1.0) -> ModelSpec:
         closed_information=closed_information,
         wide_fit_exact=wide_fit_exact,
         estimand_factories={
-            "median": lambda design: median,
+            "median": lambda design: Estimand(
+                "median", lambda th, g: math.log(2.0) ** (1.0 / g[0]) / th[0], median_gradient
+            ),
             "mean": lambda design: Estimand(
                 "mean",
                 lambda th, g: math.gamma(1.0 + 1.0 / g[0]) / th[0],
             ),
         },
-        default_estimand="median",
     )
 
 
@@ -574,11 +597,9 @@ def gamma_vs_exp(rate: float = 1.0) -> ModelSpec:
             "mean": lambda design: Estimand(
                 "mean",
                 lambda th, g: g[0] / th[0],
-                lambda th, g: [-g[0] / th[0] ** 2],
-                lambda th, g: [1.0 / th[0]],
+                lambda th, g: ([-g[0] / th[0] ** 2], [1.0 / th[0]]),
             ),
         },
-        default_estimand="mean",
     )
 
 
@@ -635,13 +656,7 @@ def _mean_departure(name: str, param_names, theta0, columns, **fields) -> ModelS
         return params[..., :p], params[..., p:]
 
     return ModelSpec(
-        name=name,
-        param_names=param_names,
-        theta0=theta0,
-        gamma0=(0.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
+        name, param_names, theta0, (0.0,), log_density, score_null, sampler,
         null_quadrature=null_quadrature,
         closed_information=closed_information,
         narrow_fit_exact=lambda y, design: _least_squares(y, columns(design)[0]),
@@ -662,30 +677,20 @@ def linreg_quadratic(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
         return (t,), t * t
 
     def mean_at(design, x0=None):
-        t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
-        return Estimand(
-            f"mean-at(x0={x0 if x0 is not None else 'max'})",
-            lambda th, g: th[1] * t0 + g[0] * t0 * t0,
-            lambda th, g: [0.0, t0],
-            lambda th, g: [t0 * t0],
-        )
+        x0 = _x0_or_max(design, x0)
+        t0 = _centered(design, x0)
+        return _linear_focus(f"mean-at(x0={x0:g})", (0.0, t0), (t0 * t0,))
 
     return _mean_departure(
         "linreg-quadratic",
         ("sigma", "slope", "curvature"),
-        (sigma, beta),
+        _null_point(sigma=sigma, beta=beta),
         columns,
         default_design=lambda n: uniform_grid_design(int(n)),
         estimand_factories={
-            "slope": lambda design: Estimand(
-                "slope",
-                lambda th, g: th[1],
-                lambda th, g: [0.0, 1.0],
-                lambda th, g: [0.0],
-            ),
+            "slope": lambda design: _linear_focus("slope", (0.0, 1.0), (0.0,)),
             "mean-at": mean_at,
         },
-        default_estimand="slope",
     )
 
 
@@ -697,12 +702,7 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
 
     def mean_at(design, x0=None, z0=0.0):
         x0, z0 = _x0_or_max(design, x0), float(z0)
-        return Estimand(
-            f"mean-at(x0={x0:g},z0={z0:g})",
-            lambda th, g: th[1] + th[2] * x0 + g[0] * z0,
-            lambda th, g: [0.0, 1.0, x0],
-            lambda th, g: [z0],
-        )
+        return _linear_focus(f"mean-at(x0={x0:g},z0={z0:g})", (0.0, 1.0, x0), (z0,))
 
     def covariate_design(n):
         n = int(n)
@@ -712,11 +712,10 @@ def linreg_covariate(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0) 
     return _mean_departure(
         "linreg-covariate",
         ("sigma", "intercept", "slope", "extra-slope"),
-        (sigma, alpha, beta),
+        _null_point(sigma=sigma, alpha=alpha, beta=beta),
         lambda design: ((1.0, design.column(0)), design.column(1)),
         default_design=covariate_design,
         estimand_factories={"mean-at": mean_at},
-        default_estimand="mean-at",
     )
 
 
@@ -778,16 +777,8 @@ def _variance_departure(name: str, param_names, theta0, columns, scale_at: int,
         return _normal_nodes(_linear_mean(betas, columns(design)[0]), s, design.n)
 
     return ModelSpec(
-        name=name,
-        param_names=param_names,
-        theta0=theta0,
-        gamma0=(0.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        **fields,
+        name, param_names, theta0, (0.0,), log_density, score_null, sampler,
+        null_quadrature=null_quadrature, closed_information=closed_information, **fields,
     )
 
 
@@ -806,29 +797,25 @@ def varhet_regression(sigma: float = 1.0, alpha: float = 0.0, beta: float = 1.0)
         return Estimand(
             f"sd-at(x0={x0:g})",
             lambda th, g: th[0] * math.sqrt(1.0 + g[0] * x0),
-            lambda th, g: [math.sqrt(1.0 + g[0] * x0), 0.0, 0.0],
-            lambda th, g: [th[0] * x0 / (2.0 * math.sqrt(1.0 + g[0] * x0))],
+            lambda th, g: (
+                [math.sqrt(1.0 + g[0] * x0), 0.0, 0.0],
+                [th[0] * x0 / (2.0 * math.sqrt(1.0 + g[0] * x0))],
+            ),
         )
 
     def mean_at(design, x0=None):
         x0 = _x0_or_max(design, x0)
-        return Estimand(
-            f"mean-at(x0={x0:g})",
-            lambda th, g: th[1] + th[2] * x0,
-            lambda th, g: [0.0, 1.0, x0],
-            lambda th, g: [0.0],
-        )
+        return _linear_focus(f"mean-at(x0={x0:g})", (0.0, 1.0, x0), (0.0,))
 
     return _variance_departure(
         "varhet-regression",
         ("sigma", "intercept", "slope", "var-slope"),
-        (sigma, alpha, beta),
+        _null_point(sigma=sigma, alpha=alpha, beta=beta),
         columns,
         0,
         default_design=lambda n: uniform_grid_design(int(n)),
         narrow_fit_exact=lambda y, design: _least_squares(y, columns(design)[0]),
         estimand_factories={"sd-at": sd_at, "mean-at": mean_at},
-        default_estimand="sd-at",
     )
 
 
@@ -865,14 +852,6 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
             ratio = s1sq / s0sq
         return np.concatenate([m0, m1, np.sqrt(s0sq)], axis=-1), ratio - 1.0
 
-    def mean_diff(design):
-        return Estimand(
-            "mean-diff",
-            lambda th, g: th[1] - th[0],
-            lambda th, g: [-1.0, 1.0, 0.0],
-            lambda th, g: [0.0],
-        )
-
     def std_diff(design):
         """Scaled group difference combining mean and variance separation."""
 
@@ -884,26 +863,22 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
             omega2 = 4.0 * math.log(half / math.sqrt(1.0 + g[0]))
             return half, pooled, nu2, math.sqrt(nu2 + omega2)
 
-        def value(th, g):
-            return parts(th, g)[3]
-
         # At the null omega = 0 and d = nu, so nu / d is exactly 1 and the
         # gradients are, bit for bit, (-s, s, -d) / sigma and -nu^2 / (4 d),
         # s the sign of xi2 - xi1.
-        def grad_theta(th, g):
-            _, pooled, nu2, d = parts(th, g)
+        def gradient(th, g):
+            half, pooled, nu2, d = parts(th, g)
             if d == 0.0:
                 raise DomainError("std-diff is not differentiable where it is zero")
             nu = math.sqrt(nu2)
             share = nu / d
             slope = (1.0 if th[1] >= th[0] else -1.0) * share / math.sqrt(pooled)
-            return [-slope, slope, -(share * nu) / th[2]]
+            return (
+                [-slope, slope, -(share * nu) / th[2]],
+                [(-nu2 / (2.0 * half) + (2.0 / half - 2.0 / (1.0 + g[0]))) / (2.0 * d)],
+            )
 
-        def grad_gamma(th, g):
-            half, _, nu2, d = parts(th, g)
-            return [(-nu2 / (2.0 * half) + (2.0 / half - 2.0 / (1.0 + g[0]))) / (2.0 * d)]
-
-        return Estimand("std-diff", value, grad_theta, grad_gamma)
+        return Estimand("std-diff", lambda th, g: parts(th, g)[3], gradient)
 
     def ts_design(n, m=None, **kw):
         n = int(n)
@@ -916,14 +891,16 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
     return _variance_departure(
         "two-sample",
         ("mean1", "mean2", "sigma", "var-ratio-minus-1"),
-        (xi1, xi2, sigma),
+        _null_point(xi1=xi1, xi2=xi2, sigma=sigma),
         columns,
         2,
         default_design=ts_design,
         narrow_fit_exact=narrow_fit_exact,
         wide_fit_exact=wide_fit_exact,
-        estimand_factories={"mean-diff": mean_diff, "std-diff": std_diff},
-        default_estimand="std-diff",
+        estimand_factories={
+            "std-diff": std_diff,
+            "mean-diff": lambda design: _linear_focus("mean-diff", (-1.0, 1.0, 0.0), (0.0,)),
+        },
     )
 
 
@@ -1023,16 +1000,25 @@ def _cdf_power(name: str, param_names, theta0, column, **fields) -> ModelSpec:
         return _normal_nodes(theta[1] * column(design), float(theta[0]), design.n)
 
     return ModelSpec(
-        name=name,
-        param_names=param_names,
-        theta0=theta0,
-        gamma0=(1.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=sampler,
-        null_quadrature=null_quadrature,
-        closed_information=closed_information,
-        **fields,
+        name, param_names, theta0, (1.0,), log_density, score_null, sampler,
+        null_quadrature=null_quadrature, closed_information=closed_information, **fields,
+    )
+
+
+def _cdf_power_median(name: str, c0) -> Estimand:
+    """The median c0*beta + sigma*Phi^-1(2^(-1/power)) of a CDF-power
+    model's response where its mean column is c0, with its gradient."""
+
+    def gradient(th, g):
+        u = 0.5 ** (1.0 / g[0])
+        q = float(std_normal_quantile(u))
+        du = u * math.log(2.0) / g[0] ** 2
+        return [q, c0], [th[0] * du / float(std_normal_pdf(q))]
+
+    return Estimand(
+        name,
+        lambda th, g: c0 * th[1] + th[0] * float(std_normal_quantile(0.5 ** (1.0 / g[0]))),
+        gradient,
     )
 
 
@@ -1049,30 +1035,14 @@ def transform_constant(sigma: float = 1.0, xi: float = 0.0) -> ModelSpec:
         sd = np.sqrt(np.mean((y - mean) ** 2, axis=-1, keepdims=True))
         return np.concatenate([sd, mean], axis=-1)
 
-    def median_est(design):
-        def value(th, g):
-            return th[1] + th[0] * float(std_normal_quantile(0.5 ** (1.0 / g[0])))
-
-        def grad_theta(th, g):
-            return [float(std_normal_quantile(0.5 ** (1.0 / g[0]))), 1.0]
-
-        def grad_gamma(th, g):
-            u = 0.5 ** (1.0 / g[0])
-            q = float(std_normal_quantile(u))
-            du = u * math.log(2.0) / g[0] ** 2
-            return [th[0] * du / float(std_normal_pdf(q))]
-
-        return Estimand("median", value, grad_theta, grad_gamma)
-
     return _cdf_power(
         "transform-constant",
         ("sigma", "location", "power"),
-        (sigma, xi),
+        _null_point(sigma=sigma, xi=xi),
         lambda design: 1.0,
         default_design=_iid_design,
         narrow_fit_exact=narrow_fit_exact,
-        estimand_factories={"median": median_est},
-        default_estimand="median",
+        estimand_factories={"median": lambda design: _cdf_power_median("median", 1.0)},
     )
 
 
@@ -1103,23 +1073,18 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
     """Centered no-intercept regression against the CDF-power transformation."""
 
     def median_at(design, x0=None):
-        t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
-
-        def value(th, g):
-            return th[1] * t0 + th[0] * float(std_normal_quantile(0.5 ** (1.0 / g[0])))
-
-        return Estimand(f"median-at(x0={x0 if x0 is not None else 'max'})", value)
+        x0 = _x0_or_max(design, x0)
+        return _cdf_power_median(f"median-at(x0={x0:g})", _centered(design, x0))
 
     return _cdf_power(
         "transform-regression",
         ("sigma", "slope", "power"),
-        (sigma, beta),
+        _null_point(sigma=sigma, beta=beta),
         _centered,
         default_design=lambda n: uniform_grid_design(int(n)),
         narrow_fit_exact=lambda y, design: _least_squares(y, (_centered(design),)),
         data_check=_require_varying_response,
         estimand_factories={"median-at": median_at},
-        default_estimand="median-at",
     )
 
 
@@ -1127,67 +1092,84 @@ def transform_regression(sigma: float = 1.0, beta: float = 1.0) -> ModelSpec:
 # Bernoulli responses
 
 
-def _check_binary(y, design=None):
-    y = np.asarray(y, dtype=float)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DomainError("binary-response models need observations in {0, 1}")
+def _bernoulli(name: str, param_names, theta0, gamma0, column, wide_prob, departure_score,
+               span: float) -> ModelSpec:
+    """Binary responses with success probability expit(a + b c) under the
+    narrow model; theta = (a, b).
 
+    column(design, x) -> c, the model's covariate at the raw covariate
+    values x of the design; wide_prob(c, a, b, g) -> the wide success
+    probability; departure_score(e, c, p) -> the null score of gamma from
+    the residual e = y - p. The design is the uniform grid on (0, span). A
+    departure with null value 1 is a power: the log density is -inf where
+    it is not positive. The null quadrature is the two outcomes with their
+    probabilities, exact, so a Bernoulli model's information is
+    information_generic on it (neither built-in has a closed_information).
+    The estimand prob-at is the wide success probability at covariate value
+    x0, by default the largest, named prob-at(x0=<x0 as %g>) for both
+    built-ins (an intended public change).
+    """
 
-def _bernoulli_log_density(y, p):
-    """log p where y is 1 and log(1 - p) elsewhere; -inf at saturation."""
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(y == 1.0, np.log(p), np.log1p(-p))
+    def null_probs(design, theta):
+        a, b = _cols(theta)
+        return special.expit(a + b * column(design, design.column(0)))
 
+    def probs(design, theta, gamma):
+        (a, b), (g,) = _cols(theta), _cols(gamma)
+        return wide_prob(column(design, design.column(0)), a, b, g)
 
-def _bernoulli_nodes(p):
-    """Null quadrature of binary responses with success probabilities p (n,):
-    the two outcomes with their probabilities, exact, so the information of
-    a Bernoulli model is information_generic on it (neither built-in has a
-    closed_information; an intended public change)."""
-    return np.broadcast_to(np.array([0.0, 1.0]), (p.size, 2)), np.column_stack([1.0 - p, p])
+    def log_density(y, design, theta, gamma):
+        def value():  # log p where y is 1 and log(1 - p) elsewhere; -inf at saturation
+            p = probs(design, theta, gamma)
+            with np.errstate(divide="ignore"):
+                return np.where(np.asarray(y, dtype=float) == 1.0, np.log(p), np.log1p(-p))
+
+        return _on_support(value, *(_cols(gamma) if gamma0 == (1.0,) else ()))
+
+    def score_null(y, design, theta):
+        c = column(design, design.column(0))
+        p = null_probs(design, theta)
+        e = np.asarray(y, dtype=float) - p
+        return np.column_stack([e, e * c]), departure_score(e, c, p)[:, None]
+
+    def null_quadrature(theta, design):
+        p = null_probs(design, theta)
+        return np.broadcast_to(np.array([0.0, 1.0]), (p.size, 2)), np.column_stack([1.0 - p, p])
+
+    def data_check(y, design):
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise DomainError("binary-response models need observations in {0, 1}")
+
+    def prob_at(design, x0=None):
+        x0 = _x0_or_max(design, x0)
+        c0 = column(design, x0)
+        return Estimand(
+            f"prob-at(x0={x0:g})", lambda th, g: float(wide_prob(c0, th[0], th[1], g[0]))
+        )
+
+    def sampler(theta, gamma, design, rng):
+        return (rng.random(design.n) < probs(design, theta, gamma)).astype(float)
+
+    return ModelSpec(
+        name, param_names, theta0, gamma0, log_density, score_null, sampler,
+        default_design=lambda n: uniform_grid_design(int(n), span),
+        null_quadrature=null_quadrature,
+        data_check=data_check,
+        estimand_factories={"prob-at": prob_at},
+    )
 
 
 def logistic_quadratic(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
     """Logistic regression in a centered covariate; departure = quadratic term."""
-
-    def probs(design, theta, gamma):
-        t = _centered(design)
-        (a, b), (g,) = _cols(theta), _cols(gamma)
-        return special.expit(a + b * t + g * t * t)
-
-    def null_probs(design, theta):
-        return special.expit(theta[0] + theta[1] * _centered(design))
-
-    def score_null(y, design, theta):
-        t = _centered(design)
-        e = np.asarray(y, dtype=float) - null_probs(design, theta)
-        return np.column_stack([e, e * t]), (e * t * t)[:, None]
-
-    def prob_at(design, x0=None):
-        t0 = _x0_or_max(design, x0) - float(np.mean(design.column(0)))
-        return Estimand(
-            f"prob-at(x0={x0 if x0 is not None else 'max'})",
-            lambda th, g: float(special.expit(th[0] + th[1] * t0 + g[0] * t0 * t0)),
-        )
-
-    return ModelSpec(
-        name="logistic-quadratic",
-        param_names=("intercept", "slope", "curvature"),
-        theta0=(alpha, beta),
-        gamma0=(0.0,),
-        log_density=lambda y, design, theta, gamma: _bernoulli_log_density(
-            y, probs(design, theta, gamma)
-        ),
-        score_null=score_null,
-        sampler=lambda theta, gamma, design, rng: (
-            rng.random(design.n) < probs(design, theta, gamma)
-        ).astype(float),
-        default_design=lambda n: uniform_grid_design(int(n), 4.0),
-        null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
-        data_check=_check_binary,
-        estimand_factories={"prob-at": prob_at},
-        default_estimand="prob-at",
+    return _bernoulli(
+        "logistic-quadratic",
+        ("intercept", "slope", "curvature"),
+        _null_point(alpha=alpha, beta=beta),
+        (0.0,),
+        _centered,
+        lambda t, a, b, g: special.expit(a + b * t + g * t * t),
+        lambda e, t, p: e * t * t,
+        4.0,
     )
 
 
@@ -1197,49 +1179,15 @@ def logistic_eta(alpha: float = 0.0, beta: float = 1.0) -> ModelSpec:
     Wide success probability expit(alpha + beta*x)^eta with eta null 1;
     at eta = 1 this is exactly the plain logistic model.
     """
-
-    def null_probs(design, theta):
-        a, b = _cols(theta)
-        return special.expit(a + b * design.column(0))
-
-    def probs(design, theta, gamma):
-        (g,) = _cols(gamma)
-        return null_probs(design, theta) ** g
-
-    def log_density(y, design, theta, gamma):
-        (g,) = _cols(gamma)
-        return _on_support(lambda: _bernoulli_log_density(y, probs(design, theta, gamma)), g)
-
-    def score_null(y, design, theta):
-        x = design.column(0)
-        p = null_probs(design, theta)
-        e = np.asarray(y, dtype=float) - p
-        u = np.column_stack([e, e * x])
-        v = (e * np.log(p) / (1.0 - p))[:, None]
-        return u, v
-
-    def prob_at(design, x0=None):
-        x0 = _x0_or_max(design, x0)
-        return Estimand(
-            f"prob-at(x0={x0:g})",
-            lambda th, g: float(special.expit(th[0] + th[1] * x0) ** g[0]),
-        )
-
-    return ModelSpec(
-        name="logistic-eta",
-        param_names=("intercept", "slope", "power"),
-        theta0=(alpha, beta),
-        gamma0=(1.0,),
-        log_density=log_density,
-        score_null=score_null,
-        sampler=lambda theta, gamma, design, rng: (
-            rng.random(design.n) < probs(design, theta, gamma)
-        ).astype(float),
-        default_design=lambda n: uniform_grid_design(int(n), 2.0),
-        null_quadrature=lambda theta, design: _bernoulli_nodes(null_probs(design, theta)),
-        data_check=_check_binary,
-        estimand_factories={"prob-at": prob_at},
-        default_estimand="prob-at",
+    return _bernoulli(
+        "logistic-eta",
+        ("intercept", "slope", "power"),
+        _null_point(alpha=alpha, beta=beta),
+        (1.0,),
+        lambda design, x: x,
+        lambda x, a, b, g: special.expit(a + b * x) ** g,
+        lambda e, x, p: e * np.log(p) / (1.0 - p),
+        2.0,
     )
 
 

@@ -228,24 +228,24 @@ def rows_that_hold(evaluate, count: int):
     """evaluate(rows) on every row index at once, or, if a numerical
     failure stops that, on the rows that do not raise it on their own.
 
-    Returns (values, rows kept, errors), where errors maps each row left
-    out to the NumericsError it raised alone. evaluate is never called on
-    an empty set of rows; values is then None.
+    Returns (values, rows kept). evaluate is never called on an empty set
+    of rows; values is then None.
     """
     rows = np.arange(count)
     if count:
         try:
-            return evaluate(rows), rows, {}
+            return evaluate(rows), rows
         except NumericsError:
             pass
-    errors = {}
+    kept = []
     for r in range(count):
         try:
             evaluate(rows[r:r + 1])
-        except NumericsError as err:
-            errors[r] = err
-    rows = np.array([r for r in range(count) if r not in errors], dtype=int)
-    return (evaluate(rows) if rows.size else None), rows, errors
+        except NumericsError:
+            continue
+        kept.append(r)
+    rows = np.array(kept, dtype=int)
+    return (evaluate(rows) if rows.size else None), rows
 
 
 def _chol_inverse(m: np.ndarray, block: str, scale=None) -> np.ndarray:

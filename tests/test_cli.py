@@ -203,6 +203,7 @@ def weibull_data(tmp_path):
     (("risk", "--grid", "0:nan:0.1"), "--grid"),
     (("risk", "--grid", "0:1e9:1e-9"), "1e+18 points"),
     (("risk", "--grid", "0:1e6:1"), "1000001 points"),
+    (("select", "--n", "1"), "--n"),
 ])
 def test_numbers_outside_their_range_are_usage_errors(argv, name, capsys):
     try:
@@ -213,6 +214,35 @@ def test_numbers_outside_their_range_are_usage_errors(argv, name, capsys):
     assert code == 2
     assert any("error:" in line and name in line for line in err.splitlines()), err
     assert out == ""
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("weibull-vs-exp", "rate", "0"),
+    ("weibull-vs-exp", "rate", "-2"),
+    ("weibull-vs-exp", "rate", "nan"),
+    ("linreg-quadratic", "sigma", "-1"),
+])
+@pytest.mark.parametrize("command", ["tolerance", "estimate", "simulate"])
+def test_model_parameters_outside_their_range_are_usage_errors(
+    family, key, value, command, tmp_path, capsys
+):
+    cfg = tmp_path / "model.ini"
+    study = f"[study]\nkind = mse\nn = 20\nreplications = 10\nseed = 1\nout = {tmp_path / 's'}\n"
+    cfg.write_text((study if command == "simulate" else "") + f"[model]\nfamily = {family}\n"
+                   f"{key} = {value}\n")
+    data = tmp_path / "obs.dat"
+    data.write_text("0.5 1.2\n1.5 0.7\n")
+    argv = {
+        "tolerance": ["tolerance", "--model-config", str(cfg), "--n", "50"],
+        "estimate": ["estimate", "--model-config", str(cfg), "--data", str(data)],
+        "simulate": ["simulate", "--config", str(cfg)],
+    }[command]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert any("error:" in line and key in line for line in err.splitlines()), err
+    assert out == ""
+    assert not (tmp_path / "s.csv").exists()
 
 
 class TestEstimateCommand:

@@ -509,6 +509,18 @@ class TestEstimandGradients:
                     assert np.allclose(gg, fg, rtol=1e-5, atol=1e-7), where
 
 
+    def test_every_estimand_but_three_has_a_closed_gradient(self):
+        without = {
+            (model.name, name)
+            for model in builtin_catalogue()
+            for name in model.estimand_names()
+            if model.estimand(name, small_design(model)).gradient is None
+        }
+        assert without == {
+            ("weibull-vs-exp", "mean"), ("logistic-quadratic", "prob-at"),
+            ("logistic-eta", "prob-at"),
+        }
+
     def test_std_diff_has_no_gradient_where_it_is_zero(self):
         model = get_model("two-sample")
         est = model.estimand("std-diff", small_design(model))
@@ -546,3 +558,25 @@ def test_model_builders_accept_parameters():
     assert model.theta0[0] == 2.0
     model = get_model("two-sample", xi1=1.0, xi2=3.0, sigma=2.0)
     assert model.theta0 == (1.0, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("name, params, key", [
+    ("weibull-vs-exp", {"rate": 0.0}, "rate"),
+    ("gamma-vs-exp", {"rate": -2.0}, "rate"),
+    ("weibull-vs-exp", {"rate": math.nan}, "rate"),
+    ("linreg-quadratic", {"sigma": -1.0}, "sigma"),
+    ("two-sample", {"sigma": 0.0}, "sigma"),
+    ("varhet-regression", {"sigma": math.nan}, "sigma"),
+    ("transform-constant", {"xi": math.inf}, "xi"),
+    ("logistic-eta", {"beta": -math.inf}, "beta"),
+])
+def test_model_builders_reject_parameters_outside_their_range(name, params, key):
+    with pytest.raises(ValueError, match=f"model parameter {key} must be"):
+        get_model(name, **params)
+
+
+def test_default_estimand_is_the_first_estimand():
+    for model in builtin_catalogue():
+        assert model.default_estimand == model.estimand_names()[0], model.name
+    assert get_model("two-sample").default_estimand == "std-diff"
+    assert "default_estimand" not in {f.name for f in dataclasses.fields(get_model("two-sample"))}
