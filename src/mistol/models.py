@@ -269,17 +269,29 @@ def information_at_null(model: ModelSpec, design: Design, theta=None) -> Partiti
     (p+q, p+q) matrix per parameter row. theta may also be a stack (R, p)
     of parameter rows: the blocks then carry a leading row axis. Raises
     ValueError if a matrix has the wrong shape or is not symmetric, and
-    NumericsError if the information (of any row) is not positive definite.
+    NumericsError if the information (of any row) cannot be computed in
+    floating point (a division by zero or an overflow), is not finite, or
+    is not positive definite.
     """
     theta = np.asarray(model.theta0 if theta is None else theta, dtype=float)
     rows = theta if theta.ndim == 2 else theta[None]
     information = model.closed_information or (
         lambda row, design: information_generic(model, design, row)
     )
-    full = np.array([information(row, design) for row in rows])
+    try:
+        full = np.array([information(row, design) for row in rows])
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericsError(
+            f"information matrix for {model.name!r} cannot be computed at these "
+            f"parameters: {exc}"
+        ) from None
     k = model.p + model.q
     if full.shape[1:] != (k, k):
         raise ValueError(f"{model.name!r} information must be ({k}, {k}), not {full.shape[1:]}")
+    if not np.all(np.isfinite(full)):
+        raise NumericsError(
+            f"information matrix for {model.name!r} is not finite at these parameters"
+        )
     info = PartitionedInfo(full if theta.ndim == 2 else full[0], model.p)
     eigs = np.linalg.eigvalsh(info.matrix)
     if np.any(eigs[..., 0] <= 1e-12 * np.maximum(eigs[..., -1], 1.0)):

@@ -148,25 +148,25 @@ def _check_finite(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
-def shifted_normal_nodes(shift: float, knots=()):
-    """Nodes z and weights w such that w @ f(z) approximates E f(Z), Z ~ N(shift, 1).
-
-    With no knots (a smooth integrand) the rule is 200-node Gauss-Hermite.
-    Otherwise [shift - 8, shift + 8] is split at the knots inside it, each
-    panel is cut to width <= 2 and gets 60-node Gauss-Legendre with the
-    normal density folded into the weights, so that kinks and jumps land
-    on panel boundaries.
+def knot_panels(lo: float, hi: float, knots=()):
+    """Gauss-Legendre nodes z and weights w for integrals over [lo, hi] of
+    an integrand with kinks or jumps at the knots: [lo, hi] is split at the
+    knots inside it, each piece is cut into equal panels of width <= 2, and
+    each panel gets 60 points, so that the knots land on panel boundaries. w @ f(z) approximates the integral of f from lo to hi.
     """
-    if not knots:
-        x, w = _hermite_rule(200)
-        return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
-    lo, hi = shift - 8.0, shift + 8.0
     splits = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
     edges = [lo]
     for left, right in zip(splits[:-1], splits[1:]):
         edges.extend(np.linspace(left, right, max(1, math.ceil((right - left) / 2.0)) + 1)[1:])
-    z, w = legendre_panels(edges, 60)
-    return z, w * std_normal_pdf(z - shift)
+    return legendre_panels(edges, 60)
+
+
+def shifted_normal_nodes(shift: float):
+    """Nodes z and weights w of the 200-node Gauss-Hermite rule, such that
+    w @ f(z) approximates E f(Z), Z ~ N(shift, 1), for a smooth f. (Risk
+    curves integrate on knot_panels instead.)"""
+    x, w = _hermite_rule(200)
+    return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .models import Design, Estimand, ModelSpec, information_at_null
 from .numerics import (
     NumericsError,
     _check_finite,
+    knot_panels,
     partitioned_inverse,
-    shifted_normal_nodes,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -80,7 +80,8 @@ def limit_geometry(
     The wide-estimator variance is evaluated along two routes (adjusted
     narrow variance plus bias term, and the full-information sandwich) and
     the two must agree; disagreement signals an inconsistent gradient or
-    information matrix and raises NumericsError.
+    information matrix and raises NumericsError, as does a bias slope, tau0^2
+    or tau^2 that is not finite.
 
     theta may also be a stack (R, p) of narrow fits, one per replication.
     Every check then runs on every row in one pass, the fields are arrays
@@ -109,6 +110,13 @@ def limit_geometry(
     tau0_sq = (grad_theta[:, None, :] @ narrow_dir)[:, 0, 0]
     kap_sq = inv.inv22[:, 0, 0]
     tau_sq = tau0_sq + b * b * kap_sq
+    broken = np.flatnonzero(~np.isfinite(b) | ~np.isfinite(tau0_sq) | ~np.isfinite(tau_sq))
+    if broken.size:
+        r = broken[0]
+        raise NumericsError(
+            f"limit geometry for {model.name}/{estimand.name} is not finite: bias slope "
+            f"{float(b[r])!r}, tau0^2 {float(tau0_sq[r])!r}, tau^2 {float(tau_sq[r])!r}"
+        )
 
     full_grad = np.concatenate([grad_theta, grad_gamma], axis=1)[..., None]
     sandwich = (np.swapaxes(full_grad, -1, -2) @ np.linalg.solve(info.matrix, full_grad))[:, 0, 0]
@@ -177,19 +185,80 @@ def risk_closed_form(kind: str, a, *, m: float = 1.0, c: float = 0.5):
     return out if out.shape else float(out)
 
 
+_WINDOW = 8.0  # a shift integrates over at least [a - 8, a + 8]
+_SHIFT_BLOCK = 32  # shifts integrated together
+_EVAL_SLICE = 240  # most nodes handed to a rule in one call
+_MAX_SHIFT = 2.0**52  # doubles of this size are spaced 1 apart
+
+
+def _lattice_nodes(est: AEstimator, panels):
+    """Nodes, weights and rule values on each lattice panel [2k, 2k + 2]
+    (split at the rule's knots) of the sequence panels: a dict k -> (z, w,
+    a_fn(z)). a_fn sees at most _EVAL_SLICE nodes per call."""
+    built = [knot_panels(2.0 * k, 2.0 * k + 2.0, est.knots) for k in panels]
+    if not built:
+        return {}
+    z = np.concatenate([nodes for nodes, _ in built])
+    f = np.concatenate([
+        np.asarray(est.a_fn(z[i:i + _EVAL_SLICE]), dtype=float)
+        for i in range(0, z.size, _EVAL_SLICE)
+    ])
+    ends = np.cumsum([nodes.size for nodes, _ in built])
+    return {
+        k: (nodes, w, part)
+        for k, (nodes, w), part in zip(panels, built, np.split(f, ends[:-1]))
+    }
+
+
+def _row_dots(x, y):
+    """Row i of x (S, n) dotted with row i of y, each on its own, so that a
+    row's bits do not depend on S."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def _expected_loss(est: AEstimator, a, loss):
     """E loss(a_hat(Z) - a) with Z ~ N(a, 1) at each a, by quadrature.
 
-    Rules without knots take the Gauss-Hermite nodes; the others the
-    knot-split Gauss-Legendre nodes. Shifts are handled one at a time,
-    since some rules expand every z over hundreds of inner nodes.
+    The nodes lie on a fixed lattice of panels [2k, 2k + 2], split at the
+    rule's knots, with 60 Gauss-Legendre points each (a rule without knots
+    is no exception). A shift a takes the panels that cover [a - 8, a + 8],
+    weighted by w*phi(z - a) divided by their sum, so a constant loss is
+    integrated exactly and a shift's value does not depend on the other
+    shifts. Shifts are taken in ascending order, _SHIFT_BLOCK at a time;
+    a_fn is called once per lattice node for all the shifts of a block, and
+    the nodes of one block are kept for the next. Raises NumericsError for
+    |a| >= 2^52, where the nodes cannot resolve a unit normal.
     """
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-    out = np.empty_like(a_arr)
-    for i, ai in enumerate(a_arr):
-        z, w = shifted_normal_nodes(ai, est.knots)
-        out[i] = w @ _check_finite(loss(est.a_fn(z) - ai), "risk quadrature")
-    return out if np.asarray(a).shape else float(out[0])
+    a_arr = np.asarray(a, dtype=float)
+    flat = np.ravel(a_arr)
+    bad = ~(np.abs(flat) < _MAX_SHIFT)  # NaN included
+    if bad.any():
+        raise NumericsError(
+            f"risk quadrature needs finite shifts below 2^52 in magnitude, got "
+            f"{float(flat[bad][0])!r}"
+        )
+    out = np.empty(flat.shape)
+    order = np.argsort(flat, kind="stable")
+    cache = {}
+    for start in range(0, order.size, _SHIFT_BLOCK):
+        rows = order[start:start + _SHIFT_BLOCK]
+        shifts = flat[rows]
+        first = np.floor((shifts - _WINDOW) / 2.0).astype(np.int64)
+        stop = np.ceil((shifts + _WINDOW) / 2.0).astype(np.int64)
+        needed = sorted(set().union(*map(range, first.tolist(), stop.tolist())))
+        cache = {k: cache[k] for k in needed if k in cache}
+        cache.update(_lattice_nodes(est, [k for k in needed if k not in cache]))
+        z, w, f = (np.concatenate([cache[k][i] for k in needed]) for i in range(3))
+        bounds = np.concatenate([[0], np.cumsum([cache[k][0].size for k in needed])])
+        begin = bounds[np.searchsorted(needed, first)]
+        count = bounds[np.searchsorted(needed, stop)] - begin
+        for size in np.unique(count):
+            sel = count == size
+            at, shift = begin[sel, None] + np.arange(size), shifts[sel, None]
+            weight = w[at] * np.exp(-0.5 * (z[at] - shift) ** 2)  # phi(z - a) but its constant
+            values = _check_finite(loss(f[at] - shift), "risk quadrature")
+            out[rows[sel]] = _row_dots(weight, values) / _row_dots(weight, np.ones_like(values))
+    return out.reshape(a_arr.shape) if a_arr.ndim else float(out[0])
 
 
 def risk_numeric(est: AEstimator, a):

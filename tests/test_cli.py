@@ -167,6 +167,14 @@ class TestRiskCommand:
         for a, r in (map(float, row.split(",")) for row in rows):
             assert (a - 2.0) ** 2 < r < a * a
 
+    def test_shift_beyond_the_quadrature_is_a_numerical_failure(self, capsys):
+        # a knotted rule here ended in a ValueError traceback from the panel builder
+        code = cli.main(["risk", "--estimator", "pretest", "--grid", "1e20:1e20:1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_NUMERIC
+        assert "numerical failure: risk quadrature needs finite shifts below 2^52" in err
+        assert out == ""
+
     def test_usage_errors(self):
         assert run_cli("risk", "--grid", "0:5")[0] == 2
         assert run_cli("risk", "--loss", "l3")[0] == 2
@@ -243,6 +251,37 @@ def test_model_parameters_outside_their_range_are_usage_errors(
     assert any("error:" in line and key in line for line in err.splitlines()), err
     assert out == ""
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("family, params, extra", [
+    ("logistic-eta", {"beta": "1e6"}, ()),  # the information is not finite
+    ("weibull-vs-exp", {"rate": "1e-320"}, ()),  # 1/rate^2 divides by zero
+    ("linreg-covariate", {"sigma": "1e300"}, ()),  # sigma^2 overflows
+    ("two-sample", {"xi1": "1e300", "xi2": "-1e300"}, ("--estimand", "std-diff")),  # NaN geometry
+])
+def test_extreme_finite_model_parameters_are_numerical_failures(family, params, extra, tmp_path):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(f"[model]\nfamily = {family}\n"
+                   + "".join(f"{key} = {value}\n" for key, value in params.items()))
+    code, out, err = run_cli("tolerance", "--model-config", str(cfg), "--n", "50", *extra)
+    assert code == cli.EXIT_NUMERIC == 3
+    assert "numerical failure:" in err
+    assert "Traceback" not in err
+    assert "nan" not in out
+
+
+def test_closed_stdout_pipe_ends_without_a_traceback():
+    # 5,001 rows are far more than a pipe buffers, so the writes after the
+    # reader has gone fail with EPIPE
+    argv = [sys.executable, "-m", "mistol", "risk", "--grid", "0:5:0.001"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=300)
+    assert first.startswith(b"a,wide,narrow,")
+    assert "Traceback" not in err
+    assert code == cli.EXIT_BROKEN_PIPE == 141
 
 
 class TestEstimateCommand:

@@ -12,6 +12,7 @@ from mistol.numerics import (
     PartitionedInfo,
     SingularBlockError,
     chisq_quantile,
+    knot_panels,
     noncentral_chisq_cdf,
     partitioned_inverse,
     replication_rng,
@@ -101,8 +102,8 @@ class TestChiSquare:
 
 class TestShiftedNormalNodes:
     @staticmethod
-    def expect(f, shift, knots=None):
-        z, w = shifted_normal_nodes(shift, knots)
+    def expect(f, shift):
+        z, w = shifted_normal_nodes(shift)
         return float(w @ f(z))
 
     def test_smooth_moments(self):
@@ -116,8 +117,16 @@ class TestShiftedNormalNodes:
                 3.0 + 6.0 * shift**2 + shift**4, rel=1e-9
             )
 
+
+class TestKnotPanels:
+    @staticmethod
+    def expect(f, shift, knots):
+        # E f(Z), Z ~ N(shift, 1), on the knot-split panels over shift -/+ 8
+        z, w = knot_panels(shift - 8.0, shift + 8.0, knots)
+        return float((w * std_normal_pdf(z - shift)) @ f(z))
+
     def test_knotted_moments(self):
-        # the knot-split Gauss-Legendre nodes must reproduce the same moments
+        # the knot-split Gauss-Legendre nodes must reproduce the normal moments
         for shift in (-1.5, 0.0, 2.0):
             got = self.expect(lambda z: z * z, shift, knots=(0.3,))
             assert got == pytest.approx(shift * shift + 1.0, abs=1e-8)
@@ -129,14 +138,13 @@ class TestShiftedNormalNodes:
             assert got == pytest.approx(closed, abs=1e-8)
 
     def test_panel_rules_keep_their_bits(self):
-        """The analytic benchmark references pin the last bit of these rules,
-        so each is checked against its panel loop written out here."""
+        """Each panel rule is checked against its panel loop written out here."""
 
-        def pinned_normal(shift, knots):
-            if not knots:
-                x, w = np.polynomial.hermite.hermgauss(200)
-                return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
-            lo, hi = shift - 8.0, shift + 8.0
+        def pinned_hermite(shift):
+            x, w = np.polynomial.hermite.hermgauss(200)
+            return shift + math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+
+        def pinned_knotted(lo, hi, knots):
             edges = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
             gx, gw = np.polynomial.legendre.leggauss(60)
             zs, ws = [], []
@@ -144,18 +152,24 @@ class TestShiftedNormalNodes:
                 bounds = np.linspace(left, right, max(1, math.ceil((right - left) / 2.0)) + 1)
                 for a, b in zip(bounds[:-1], bounds[1:]):
                     mid, half = (a + b) / 2.0, (b - a) / 2.0
-                    z = mid + half * gx
-                    zs.append(z)
-                    ws.append(half * gw * std_normal_pdf(z - shift))
+                    zs.append(mid + half * gx)
+                    ws.append(half * gw)
             return np.concatenate(zs), np.concatenate(ws)
+
+        shifts = (-8.5, -1.9, 0.0, 0.05, 0.502, 1.0, 1.645, 2.35, 5.0, 9.0)
+        for shift in shifts:
+            got, want = shifted_normal_nodes(shift), pinned_hermite(shift)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
         rules = (
             pretest(1.0), pretest(1.645), pretest(math.sqrt(2.0)), restricted(),
             efron_morris(), mlplus(), qtilde(0.5),
         )
-        for knots in (None, (), *(rule.knots for rule in rules)):
-            for shift in (-8.5, -1.9, 0.0, 0.05, 0.502, 1.0, 1.645, 2.35, 5.0, 9.0):
-                got, want = shifted_normal_nodes(shift, knots), pinned_normal(shift, knots)
+        intervals = [(shift - 8.0, shift + 8.0) for shift in shifts]
+        intervals += [(2.0 * k, 2.0 * k + 2.0) for k in range(-5, 5)]
+        for knots in ((), *(rule.knots for rule in rules)):
+            for lo, hi in intervals:
+                got, want = knot_panels(lo, hi, knots), pinned_knotted(lo, hi, knots)
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
         panels = (

@@ -2,15 +2,20 @@ import csv
 import dataclasses
 import math
 import pathlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import mistol.risk
 from mistol.estimators import (
     AEstimator,
     atan_shrink,
+    bickel,
     eb,
+    estimator_names,
     efron_morris,
     linear,
     mlplus,
@@ -274,6 +279,76 @@ class TestRiskCurveTable:
         assert rows[0] == header
         back = np.array([[float(v) for v in row] for row in rows[1:]])
         assert np.array_equal(back, matrix)
+
+
+def quad_risk(est, a):
+    """E (a_hat(Z) - a)^2, Z ~ N(a, 1), by adaptive quadrature over
+    [a - 12, a + 12], split at the rule's knots and at the integers."""
+
+    def integrand(z):
+        a_hat = float(np.asarray(est.a_fn(np.array([z])))[0])
+        return (a_hat - a) ** 2 * math.exp(-0.5 * (z - a) ** 2) / math.sqrt(2.0 * math.pi)
+
+    lo, hi = a - 12.0, a + 12.0
+    inner = [k for k in est.knots if lo < k < hi] + list(range(math.ceil(lo), math.ceil(hi)))
+    edges = sorted({lo, hi, *map(float, inner)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return math.fsum(
+            integrate.quad(integrand, left, right, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+            for left, right in zip(edges[:-1], edges[1:])
+        )
+
+
+class TestSharedQuadratureNodes:
+    """A risk curve integrates every shift on one lattice of knot-split
+    Gauss-Legendre panels and calls its rule once per lattice node."""
+
+    @pytest.mark.parametrize("name", estimator_names())
+    def test_matches_adaptive_quadrature(self, name):
+        est = parse_estimator(name)
+        for a in (0.0, 1.4, 3.0, 5.0):
+            assert abs(risk_numeric(est, a) - quad_risk(est, a)) <= 1e-12, (name, a)
+
+    @pytest.mark.parametrize("name", ["eb", "qhat", "pretest", "bickel"])
+    def test_each_lattice_node_is_evaluated_once(self, name):
+        est = parse_estimator(name)
+        sizes = []
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return est.a_fn(z)
+
+        risk_profile(dataclasses.replace(est, a_fn=counted))
+        # [-8, 14] in 11 panels of 60 nodes, plus one panel per knot inside
+        assert sum(sizes) == 60 * (11 + len(est.knots))
+        assert max(sizes) <= 500
+
+    @pytest.mark.parametrize("name", ["eb", "qhat", "pretest-10", "mlplus", "bickel"])
+    def test_a_shift_does_not_depend_on_the_grid(self, name):
+        est = parse_estimator(name)
+        grid = np.concatenate([default_grid(), [-3.3, 40.0, 7.25, 0.0, -0.05, 1e4]])
+        order = np.random.default_rng(5).permutation(grid.size)
+        single = np.array([risk_numeric(est, a) for a in grid])
+        assert np.allclose(risk_profile(est, grid).values, single, rtol=1e-13, atol=0.0)
+        assert np.allclose(risk_numeric(est, grid[order]), single[order], rtol=1e-13, atol=0.0)
+        single = np.array([l1_risk(est, a, 0.7) for a in grid])
+        profile = risk_profile(est, grid, loss="l1", rho=0.7)
+        assert np.allclose(profile.values, single, rtol=1e-13, atol=0.0)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        tracemalloc.start()
+        try:
+            risk_profile(bickel(), np.linspace(0.0, 2000.0, 20001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_shifts_too_large_to_resolve_are_rejected(self):
+        for a in (2.0**52, -1e20, math.inf, math.nan):
+            with pytest.raises(NumericsError, match="2\\^52"):
+                risk_numeric(pretest(1.0), np.array([0.0, a]))
 
 
 class TestTailBehaviour:
