@@ -496,8 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int)
     sim.add_argument(
         "--workers", type=int,
-        help="recorded in the manifest (at least 1); the study runs serially, "
-        "and its output is the same for any value",
+        help="the most processes the study uses (at least 1): above 1, on Linux, "
+        "its replications are fitted in up to that many forked worker processes, "
+        "capped at the usable CPUs; its output is the same for any value",
     )
     sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)

@@ -7,23 +7,31 @@ under root-n departures. A StudyConfig holds every setting of a study
 and checks each one when it is built, the estimand and estimators
 included (see its docstring), so a bad setting raises ValueError before
 any replication runs. Replication r always draws from a stream keyed by
-(seed, r). The replications of a study cell are drawn and fitted in
-blocks of BLOCK_ROWS consecutive replications, in order, and each block is
-dropped once fitted. estimators.fit_rows fits a block and leaves out the
+(seed, r). Every (n, delta) cell of a study is prepared (its draw point,
+design, estimand and fit function) before any fit. The replications of a
+cell are then drawn and fitted in blocks of BLOCK_ROWS consecutive
+replications. estimators.fit_rows fits a block and leaves out the
 replications that fail: a closed-form fit takes the whole block in one
 call, and each replication alone only if that call raises; a Newton fit
 runs one replication at a time. No replication's result depends on the
-others in its block. Everything after the fits (the plug-in geometry with its checks, z
-statistics, compromise estimates, coverage indicators, plug-in kappas) is
-then evaluated once for the whole cell, on arrays over the replication
-axis. A replication that fails at any stage is counted and left out. The
-workers setting is accepted and recorded in the manifest, but the engine
-runs serially, so output is identical for any worker count.
+others in its block. With workers > 1 on Linux, the blocks of all cells
+are fitted in up to `workers` forked worker processes (_fit_each);
+otherwise they are fitted in order in the calling process. Either way the
+block results are read in order, and everything after the fits (the
+plug-in geometry with its checks, z statistics, compromise estimates,
+coverage indicators, plug-in kappas) is evaluated in the calling process,
+once per cell, on arrays over the replication axis. So output is
+identical for any worker count. A replication that fails at any stage is
+counted and left out.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,6 +79,12 @@ class StudyConfig:
     delta grid or n list, an n below 1, an estimand the model does not
     define, an estimator that parse_estimator rejects ("debias" is allowed)
     and a model with more than one departure parameter.
+
+    workers is the most processes a study uses. Above 1, on Linux, a study
+    forks the calling process into min(workers, usable CPUs, blocks)
+    worker processes, which inherit the model, designs and fit functions
+    (nothing of them is pickled), and joins them before it returns or
+    raises. The output is the same for any worker count.
     """
 
     model: ModelSpec
@@ -82,7 +96,7 @@ class StudyConfig:
     estimators: tuple = ("narrow", "wide")
     kappa_method: str = "score-cov"
     level: float = 0.90
-    workers: int = 1  # validated and recorded; the engine runs serially
+    workers: int = 1  # the most processes a study uses (see the docstring)
     design_factory: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -160,28 +174,92 @@ def _checked_failures(config: StudyConfig, failures: int) -> int:
     return failures
 
 
-def _fit_each(config: StudyConfig, gamma, design, fit_block) -> list:
-    """fit_block(ys) on each block of replications drawn at gamma, in order.
-
-    ys stacks the draws of up to BLOCK_ROWS consecutive replications, each
-    from its own (seed, r) stream; a replication whose sampler raises a
-    numerical failure is left out. fit_block returns one entry per row it
-    keeps; the entries of all blocks are returned in order.
-    """
-    reps = config.replications
-    out = []
-    for start in range(0, reps, BLOCK_ROWS):
-        draws = []
-        for r in range(start, min(start + BLOCK_ROWS, reps)):
-            try:
-                draws.append(_draw(config, r, gamma, design))
-            except NumericsError:
-                pass
-        if draws:
-            out.extend(fit_block(np.array(draws)))
+def _entries(config: StudyConfig, blocks) -> list:
+    """The fit entries of one cell's blocks, in order; aborts if there are none."""
+    out = [entry for block in blocks for entry in block]
     if not out:
-        _checked_failures(config, reps)  # every one failed: aborts
+        _checked_failures(config, config.replications)  # every one failed: aborts
     return out
+
+
+def _fit_block(config: StudyConfig, job, start: int):
+    """fit_block(ys) of job = (gamma, design, fit_block) on the replications
+    start, start + 1, ... of one block of BLOCK_ROWS.
+
+    ys stacks their draws at gamma, each from its own (seed, r) stream; a
+    replication whose sampler raises a numerical failure is left out.
+    fit_block returns one entry per row it keeps.
+    """
+    gamma, design, fit_block = job
+    draws = []
+    for r in range(start, min(start + BLOCK_ROWS, config.replications)):
+        try:
+            draws.append(_draw(config, r, gamma, design))
+        except NumericsError:
+            pass
+    return fit_block(np.array(draws)) if draws else []
+
+
+_WORKER_JOBS = None  # (config, jobs), set only in the worker processes of _fit_each
+
+
+def _adopt_jobs(config, jobs):
+    global _WORKER_JOBS
+    _WORKER_JOBS = config, jobs
+
+
+def _worker_block(job: int, start: int):
+    config, jobs = _WORKER_JOBS
+    return _fit_block(config, jobs[job], start)
+
+
+def _pool_size(config: StudyConfig, blocks: int) -> int:
+    if not sys.platform.startswith("linux"):
+        return 1
+    return min(config.workers, len(os.sched_getaffinity(0)), blocks)
+
+
+@contextmanager
+def _fit_each(config: StudyConfig, jobs):
+    """Yields an iterator over the fit entries of each job, in order.
+
+    A job (gamma, design, fit_block) is one cell's fits; its entries are
+    those of its blocks (_fit_block), in order, and a cell with none aborts
+    the study. With one process the blocks of a job are fitted when the
+    iterator reaches it. Otherwise every block of every job is submitted
+    at once to a pool of forked processes, which inherit config and jobs,
+    so that no closure is pickled; the results are read in order, so the
+    entries are the same. Leaving the context cancels the blocks not yet
+    started and joins the workers, also when the caller raises. A worker's
+    exception is raised again here, and a worker that dies raises
+    BrokenProcessPool.
+    """
+    starts = range(0, config.replications, BLOCK_ROWS)
+    processes = _pool_size(config, len(jobs) * len(starts))
+    if processes == 1:
+        yield (_entries(config, [_fit_block(config, job, s) for s in starts]) for job in jobs)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        processes, multiprocessing.get_context("fork"),
+        initializer=_adopt_jobs, initargs=(config, jobs),
+    )
+    try:
+        with warnings.catch_warnings():
+            # The first submit forks every worker. Python 3.12+ warns that a
+            # fork of a multi-threaded process may deadlock the child; the
+            # threads here are numpy's BLAS pool, which OpenBLAS shuts down
+            # around a fork (pthread_atfork).
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            futures = [[pool.submit(_worker_block, j, s) for s in starts] for j in range(len(jobs))]
+        yield (_entries(config, [f.result() for f in job]) for job in futures)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _draw(config: StudyConfig, r: int, gamma, design):
@@ -245,7 +323,8 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
                 out.append(centered.T @ centered / n)
             return out
 
-        infos = np.array(_fit_each(config, gamma0, design, score_covariances))
+        with _fit_each(config, [(gamma0, design, score_covariances)]) as fitted:
+            infos = np.array(next(fitted))
         inv, kept = rows_that_hold(
             lambda rows: partitioned_inverse(PartitionedInfo(infos[rows], p)), len(infos)
         )
@@ -265,7 +344,8 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
         wide, _ = fit_rows(model, ys, design, wide=True)
         return [] if wide is None else wide.params
 
-    params = np.array(_fit_each(config, gamma0, design, wide_params))
+    with _fit_each(config, [(gamma0, design, wide_params)]) as fitted:
+        params = np.array(next(fitted))
     failures = _checked_failures(config, reps - len(params))
     scaled = None
     if method == "full-ml-cov":
@@ -341,13 +421,15 @@ class _Cell:
     failures: int
 
 
-def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _Cell:
-    """Draw the replications at gamma0 + delta/sqrt(n) and fit both models to
-    them, block by block, then evaluate the plug-in geometry at all the
-    narrow fits at once. A row whose narrow fit fails gets no wide fit."""
-    model = config.model
+def _draw_point(model: ModelSpec, n: int, delta: float):
+    return np.asarray(model.gamma0, dtype=float) + delta / math.sqrt(n)
+
+
+def _fit_both(model: ModelSpec, design, estimand):
+    """The fit function of a cell: the narrow and the wide fit of each row
+    of a block, and (theta, gamma_hat, mu_n, mu_w) for each row that both
+    hold on. A row whose narrow fit fails gets no wide fit."""
     gamma0 = np.asarray(model.gamma0, dtype=float)
-    gamma_true = gamma0 + delta / math.sqrt(n)
 
     def fit_both(ys):
         narrow, kept = fit_rows(model, ys, design, wide=False)
@@ -366,7 +448,13 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
                 pass
         return out
 
-    fits = _fit_each(config, gamma_true, design, fit_both)
+    return fit_both
+
+
+def _cell(config: StudyConfig, n: int, delta: float, design, estimand, fits) -> _Cell:
+    """One cell from its fit entries: the plug-in geometry at all the
+    narrow fits at once, and the rows it holds on."""
+    model = config.model
     thetas, gamma_hat, mu_n, mu_w = map(np.array, zip(*fits))
     geom, kept = rows_that_hold(
         lambda rows: limit_geometry(model, design, estimand, theta=thetas[rows]), len(thetas)
@@ -374,13 +462,45 @@ def _fit_cell(config: StudyConfig, n: int, delta: float, design, estimand) -> _C
     if geom is None:
         _checked_failures(config, config.replications)  # every one failed: aborts
     return _Cell(
-        mu_true=estimand(np.asarray(model.theta0, dtype=float), gamma_true),
+        mu_true=estimand(np.asarray(model.theta0, dtype=float), _draw_point(model, n, delta)),
         gamma_hat=gamma_hat[kept],
         mu_n=mu_n[kept],
         mu_w=mu_w[kept],
         geom=geom,
         failures=config.replications - len(kept),
     )
+
+
+def _cells(config: StudyConfig, n: int, design, estimand, fitted):
+    for delta in config.delta_grid:
+        delta = float(delta)
+        yield delta, _cell(config, n, delta, design, estimand, next(fitted))
+
+
+@contextmanager
+def _fitted_cells(config: StudyConfig):
+    """Yields, for each n of config.n_list, (n, design, estimand, cells);
+    cells iterates (delta, _Cell) over config.delta_grid.
+
+    Every cell is prepared before any fit, and the fits of all cells go
+    through one _fit_each. A cell's geometry is evaluated when cells
+    reaches it, so a study that aborts raises the error of the first cell
+    in study order that fails, whatever the worker count.
+    """
+    model = config.model
+    sizes = []
+    for n in config.n_list:
+        design = config.design_for(int(n))
+        sizes.append((int(n), design, config.estimand_for(design)))
+    jobs = [
+        (_draw_point(model, n, float(delta)), design, _fit_both(model, design, estimand))
+        for n, design, estimand in sizes for delta in config.delta_grid
+    ]
+    with _fit_each(config, jobs) as fitted:
+        yield (
+            (n, design, estimand, _cells(config, n, design, estimand, fitted))
+            for n, design, estimand in sizes
+        )
 
 
 def finite_sample_mse(config: StudyConfig) -> StudyResult:
@@ -397,45 +517,41 @@ def finite_sample_mse(config: StudyConfig) -> StudyResult:
     kappa_rows = []
     total_failures = 0
 
-    for n in config.n_list:
-        n = int(n)
-        design = config.design_for(n)
-        estimand = config.estimand_for(design)
-        narrow_curve, wide_curve = [], []
-        plugin_kappas = []
-        for delta in config.delta_grid:
-            delta = float(delta)
-            cell = _fit_cell(config, n, delta, design, estimand)
+    with _fitted_cells(config) as sizes:
+        for n, _, _, cells in sizes:
+            narrow_curve, wide_curve = [], []
+            plugin_kappas = []
+            for delta, cell in cells:
 
-            def evaluate(idx):
-                gamma_hat, mu_n = cell.gamma_hat[idx], cell.mu_n[idx]
-                zn = z_statistic(gamma_hat, g0, cell.geom.kappa[idx], n)
-                return np.column_stack([
-                    debias_estimate(mu_n, cell.geom.bias_slope[idx], gamma_hat, g0)
-                    if est is None else compromise_estimate(mu_n, cell.mu_w[idx], zn, est)
-                    for _, est in estimators
-                ])
+                def evaluate(idx):
+                    gamma_hat, mu_n = cell.gamma_hat[idx], cell.mu_n[idx]
+                    zn = z_statistic(gamma_hat, g0, cell.geom.kappa[idx], n)
+                    return np.column_stack([
+                        debias_estimate(mu_n, cell.geom.bias_slope[idx], gamma_hat, g0)
+                        if est is None else compromise_estimate(mu_n, cell.mu_w[idx], zn, est)
+                        for _, est in estimators
+                    ])
 
-            estimates, kept = rows_that_hold(evaluate, len(cell.gamma_hat))
-            total_failures += _checked_failures(
-                config, cell.failures + len(cell.gamma_hat) - len(kept)
+                estimates, kept = rows_that_hold(evaluate, len(cell.gamma_hat))
+                total_failures += _checked_failures(
+                    config, cell.failures + len(cell.gamma_hat) - len(kept)
+                )
+                sqerr = n * (estimates - cell.mu_true) ** 2
+                means = sqerr.mean(axis=0)
+                ses = sqerr.std(axis=0, ddof=1) / math.sqrt(sqerr.shape[0])
+                for (name, _), m, s in zip(estimators, means, ses):
+                    rows.append((delta, n, name, float(m), float(s)))
+                    if name == "narrow":
+                        narrow_curve.append((delta, float(m)))
+                    elif name == "wide":
+                        wide_curve.append((delta, float(m)))
+                plugin_kappas.extend(cell.geom.kappa[kept].tolist())
+            pk = np.asarray(plugin_kappas)
+            kappa_rows.append(
+                (n, float(pk.mean()), float(pk.std(ddof=1) / math.sqrt(pk.size)))
             )
-            sqerr = n * (estimates - cell.mu_true) ** 2
-            means = sqerr.mean(axis=0)
-            ses = sqerr.std(axis=0, ddof=1) / math.sqrt(sqerr.shape[0])
-            for (name, _), m, s in zip(estimators, means, ses):
-                rows.append((delta, n, name, float(m), float(s)))
-                if name == "narrow":
-                    narrow_curve.append((delta, float(m)))
-                elif name == "wide":
-                    wide_curve.append((delta, float(m)))
-            plugin_kappas.extend(cell.geom.kappa[kept].tolist())
-        pk = np.asarray(plugin_kappas)
-        kappa_rows.append(
-            (n, float(pk.mean()), float(pk.std(ddof=1) / math.sqrt(pk.size)))
-        )
-        for cross in _curve_crossings(narrow_curve, wide_curve):
-            crossings.append((n, cross))
+            for cross in _curve_crossings(narrow_curve, wide_curve):
+                crossings.append((n, cross))
 
     return _study_result(
         config, ("delta", "n", "estimator", "nmse", "se"), rows, total_failures,
@@ -477,31 +593,27 @@ def coverage_study(config: StudyConfig) -> StudyResult:
     z = std_normal_quantile((1.0 + config.level) / 2.0)
     rows = []
     total_failures = 0
-    for n in config.n_list:
-        n = int(n)
-        design = config.design_for(n)
-        estimand = config.estimand_for(design)
-        truth_geom = limit_geometry(model, design, estimand)
-        for delta in config.delta_grid:
-            delta = float(delta)
-            cell = _fit_cell(config, n, delta, design, estimand)
-            total_failures += _checked_failures(config, cell.failures)
-            half_n = z * cell.geom.tau0 / math.sqrt(n)
-            half_w = z * cell.geom.tau / math.sqrt(n)
-            kept = np.column_stack([
-                np.abs(cell.mu_n - cell.mu_true) <= half_n,
-                np.abs(cell.mu_w - cell.mu_true) <= half_w,
-            ]).astype(float)
-            reps_kept = kept.shape[0]
-            for idx, kind in enumerate(("narrow", "wide")):
-                cov = float(kept[:, idx].mean())
-                se = math.sqrt(max(cov * (1.0 - cov), 1e-12) / reps_kept)
-                if kind == "narrow":
-                    shift = truth_geom.bias_slope * delta / truth_geom.tau0
-                    predicted = ci_coverage(shift, z)
-                else:
-                    predicted = config.level
-                rows.append((delta, n, kind, cov, float(se), float(predicted)))
+    with _fitted_cells(config) as sizes:
+        for n, design, estimand, cells in sizes:
+            truth_geom = limit_geometry(model, design, estimand)
+            for delta, cell in cells:
+                total_failures += _checked_failures(config, cell.failures)
+                half_n = z * cell.geom.tau0 / math.sqrt(n)
+                half_w = z * cell.geom.tau / math.sqrt(n)
+                kept = np.column_stack([
+                    np.abs(cell.mu_n - cell.mu_true) <= half_n,
+                    np.abs(cell.mu_w - cell.mu_true) <= half_w,
+                ]).astype(float)
+                reps_kept = kept.shape[0]
+                for idx, kind in enumerate(("narrow", "wide")):
+                    cov = float(kept[:, idx].mean())
+                    se = math.sqrt(max(cov * (1.0 - cov), 1e-12) / reps_kept)
+                    if kind == "narrow":
+                        shift = truth_geom.bias_slope * delta / truth_geom.tau0
+                        predicted = ci_coverage(shift, z)
+                    else:
+                        predicted = config.level
+                    rows.append((delta, n, kind, cov, float(se), float(predicted)))
     return _study_result(
         config, ("delta", "n", "interval", "coverage", "se", "predicted"), rows, total_failures
     )

@@ -871,7 +871,8 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
             # d^2 = nu^2 + omega^2, nu^2 = (xi2 - xi1)^2 / P, P = sigma^2 (1 + g/2)
             half = 1.0 + g[0] / 2.0
             pooled = th[2] ** 2 * half
-            nu2 = (th[1] - th[0]) ** 2 / pooled
+            with np.errstate(over="ignore"):  # inf; limit_geometry rejects it
+                nu2 = (th[1] - th[0]) ** 2 / pooled
             omega2 = 4.0 * math.log(half / math.sqrt(1.0 + g[0]))
             return half, pooled, nu2, math.sqrt(nu2 + omega2)
 
@@ -883,12 +884,13 @@ def two_sample(xi1: float = 0.0, xi2: float = 1.0, sigma: float = 1.0) -> ModelS
             if d == 0.0:
                 raise DomainError("std-diff is not differentiable where it is zero")
             nu = math.sqrt(nu2)
-            share = nu / d
-            slope = (1.0 if th[1] >= th[0] else -1.0) * share / math.sqrt(pooled)
-            return (
-                [-slope, slope, -(share * nu) / th[2]],
-                [(-nu2 / (2.0 * half) + (2.0 / half - 2.0 / (1.0 + g[0]))) / (2.0 * d)],
-            )
+            with np.errstate(invalid="ignore"):  # NaN at an infinite d; as above
+                share = nu / d
+                slope = (1.0 if th[1] >= th[0] else -1.0) * share / math.sqrt(pooled)
+                return (
+                    [-slope, slope, -(share * nu) / th[2]],
+                    [(-nu2 / (2.0 * half) + (2.0 / half - 2.0 / (1.0 + g[0]))) / (2.0 * d)],
+                )
 
         return Estimand("std-diff", lambda th, g: parts(th, g)[3], gradient)
 
@@ -1142,7 +1144,10 @@ def _bernoulli(name: str, param_names, theta0, gamma0, column, wide_prob, depart
         c = column(design, design.column(0))
         p = null_probs(design, theta)
         e = np.asarray(y, dtype=float) - p
-        return np.column_stack([e, e * c]), departure_score(e, c, p)[:, None]
+        # a saturated probability (p = 1 or 0) gives a NaN departure score,
+        # which the information's finiteness check then rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.column_stack([e, e * c]), departure_score(e, c, p)[:, None]
 
     def null_quadrature(theta, design):
         p = null_probs(design, theta)

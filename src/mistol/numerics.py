@@ -30,10 +30,14 @@ class SingularBlockError(NumericsError):
 
     def __init__(self, block: str, detail: str = ""):
         self.block = block
+        self.detail = detail
         msg = f"singular or non-positive-definite block: {block}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):  # pickled whole, as a study's worker process sends it
+        return type(self), (self.block, self.detail)
 
 
 class DomainError(ValueError, NumericsError):

@@ -19,6 +19,7 @@ entries:
 
 import csv
 import math
+import multiprocessing
 import subprocess
 import sys
 import time
@@ -310,6 +311,7 @@ def test_criterion_10_monte_carlo_verification():
             f"of tau^2 {WEIBULL_TAU_SQ:.4f}",
             abs(nmse - WEIBULL_TAU_SQ) <= 3.0 * se,
         ),
+        ("no worker process outlives the studies", multiprocessing.active_children() == []),
     ]
     verdict(10, clauses, t0, budget=300.0)
 

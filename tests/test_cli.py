@@ -270,6 +270,22 @@ def test_extreme_finite_model_parameters_are_numerical_failures(family, params, 
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("family, params, extra", [
+    ("logistic-eta", {"beta": "1e6"}, ()),  # saturated probabilities: a NaN score
+    ("two-sample", {"xi1": "1e300", "xi2": "-1e300"}, ("--estimand", "std-diff")),  # d overflows
+])
+def test_extreme_parameters_fail_in_process_without_a_numpy_warning(
+        family, params, extra, tmp_path, capsys):
+    # pytest turns every RuntimeWarning into an error (pyproject.toml), so a
+    # numpy warning on the way would escape main instead of the exit code
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(f"[model]\nfamily = {family}\n"
+                   + "".join(f"{key} = {value}\n" for key, value in params.items()))
+    code = cli.main(["tolerance", "--model-config", str(cfg), "--n", "50", *extra])
+    assert code == cli.EXIT_NUMERIC == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 def test_closed_stdout_pipe_ends_without_a_traceback():
     # 5,001 rows are far more than a pipe buffers, so the writes after the
     # reader has gone fail with EPIPE
@@ -631,6 +647,15 @@ def test_console_script_entry_point_target(capsys):
     main = getattr(importlib.import_module(module), attr)
     assert main(["select", "--a", "0", "--q", "1", "--level", "0.05"]) == 0
     assert "narrow_prob_aic" in capsys.readouterr().out
+
+
+def test_import_starts_no_process_machinery():
+    # a study imports multiprocessing only when it starts a worker pool
+    code = "import sys, mistol.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_tolerance_out_reads_back_as_key_value_pairs(tmp_path):

@@ -1,5 +1,11 @@
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -630,3 +636,154 @@ class TestCoverageStudy:
         assert "level: 0.8" in result.manifest
         with pytest.raises(ValueError):
             weibull_config(n_list=(120,), replications=100, level=1.2)
+
+
+def kappa_bits(study):
+    """Every field of a KappaStudy, its matrices as bytes."""
+    info = None if study.info is None else study.info.matrix.tobytes()
+    inverse = None if study.inverse_info is None else study.inverse_info.tobytes()
+    return (study.method, study.n, study.replications, study.failures, study.kappa,
+            study.se, info, inverse)
+
+
+def outcome(study, config):
+    """A study's result, or the type and message of what it raised; and
+    the worker processes left running after it."""
+    try:
+        result = study(config)
+    except Exception as err:  # the error is the outcome being compared
+        result = (type(err), str(err))
+    return result, multiprocessing.active_children()
+
+
+class TestWorkerPool:
+    """workers > 1 fits the blocks in forked processes; every output, and
+    every error, is the one workers = 1 gives."""
+
+    WORKERS = (1, 2, 3)
+
+    @staticmethod
+    def results(result):  # the manifest records the worker count
+        return dataclasses.replace(result, manifest=())
+
+    def same_for_every_worker_count(self, study, config, view=results):
+        outcomes = []
+        for workers in self.WORKERS:
+            result, children = outcome(study, dataclasses.replace(config, workers=workers))
+            assert children == []
+            outcomes.append(result if isinstance(result, tuple) else view(result))
+        assert outcomes[1:] == outcomes[:1] * (len(outcomes) - 1)
+        return outcomes[0]
+
+    def test_coverage_study(self):
+        config = weibull_config(delta_grid=(0.0, 0.8), n_list=(80, 120), replications=100)
+        result = self.same_for_every_worker_count(coverage_study, config)
+        assert len(result.rows) == 8
+
+    @pytest.mark.parametrize("method", KAPPA_METHODS)
+    def test_kappa_methods(self, method):
+        config = weibull_config(kappa_method=method, replications=130)
+        bits = self.same_for_every_worker_count(kappa_by_simulation, config, kappa_bits)
+        assert bits[3] == 0
+
+    def test_newton_model_mse_over_two_sizes_and_two_departures(self):
+        config = StudyConfig(
+            model=get_model("gamma-vs-exp"), delta_grid=(0.0, 0.5), n_list=(60, 100),
+            replications=100, seed=3, estimators=("narrow", "wide", "eb", "debias"),
+        )
+        result = self.same_for_every_worker_count(finite_sample_mse, config)
+        assert len(result.rows) == 16 and len(result.kappa_rows) == 2
+
+    def test_aborting_study(self):
+        # the first cell aborts while the blocks of the second are pending
+        config = StudyConfig(
+            model=failing_sampler_model(0.5), delta_grid=(0.0, 0.5), n_list=(50,),
+            replications=200, seed=555,
+        )
+        error = self.same_for_every_worker_count(finite_sample_mse, config)
+        assert error[0] is StudyError
+        assert error[1].endswith("replications failed; aborting rather than "
+                                 "averaging a biased remainder")
+
+    def test_worker_error_keeps_its_type_and_message(self):
+        base = get_model("logistic-quadratic")
+
+        def first_row(y, design, theta, gamma):  # silently row 0 on a stack
+            return base.log_density(y, design, np.ravel(theta)[:2], np.ravel(gamma)[:1])
+
+        config = StudyConfig(
+            model=dataclasses.replace(base, log_density=first_row), n_list=(100,),
+            replications=100, seed=5,
+        )
+        error = self.same_for_every_worker_count(finite_sample_mse, config)
+        assert error[0] is TypeError
+        assert "'logistic-quadratic'" in error[1]
+
+    def test_model_built_from_closures(self):
+        base = get_model("weibull-vs-exp")
+        calls = []
+
+        def sampler(theta, gamma, design, rng):
+            calls.append(os.getpid())
+            return 2.0 * base.sampler(theta, gamma, design, rng)
+
+        config = weibull_config(
+            model=dataclasses.replace(base, sampler=sampler), replications=200,
+            delta_grid=(0.0, 0.5),
+        )
+        serial = finite_sample_mse(config)
+        assert set(calls) == {os.getpid()}
+        calls.clear()
+        pooled, children = outcome(finite_sample_mse, dataclasses.replace(config, workers=2))
+        assert self.results(pooled) == self.results(serial) and children == []
+        if mcstudy._pool_size(dataclasses.replace(config, workers=2), 14) > 1:
+            assert calls == []  # every draw ran in a worker
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pool forks on Linux")
+    def test_a_dead_worker_raises(self):
+        parent = os.getpid()
+        base = get_model("weibull-vs-exp")
+
+        def sampler(theta, gamma, design, rng):
+            if os.getpid() != parent:
+                os._exit(1)
+            return base.sampler(theta, gamma, design, rng)
+
+        config = weibull_config(model=dataclasses.replace(base, sampler=sampler), workers=2)
+        if mcstudy._pool_size(config, 4) == 1:
+            pytest.skip("one usable CPU: the study runs in-process")
+
+        def hung(signum, frame):
+            raise TimeoutError("the study waited 60 s on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                finite_sample_mse(config)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pool forks on Linux")
+    def test_worker_count_is_capped_by_usable_cpus(self, monkeypatch):
+        asked = []
+
+        class Started(Exception):
+            pass
+
+        def spy(max_workers=None, *args, **kwargs):  # starts no process
+            asked.append(max_workers)
+            raise Started
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        config = weibull_config(workers=10**6)
+        cpus = len(os.sched_getaffinity(0))
+        if cpus == 1:
+            finite_sample_mse(config)  # in-process: no executor
+            assert asked == []
+        else:
+            with pytest.raises(Started):
+                finite_sample_mse(config)
+            assert asked == [min(cpus, 4)]  # 100 replications are 4 blocks

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -221,6 +222,10 @@ class TestPartitionedInverse:
         with pytest.raises(SingularBlockError) as err:
             partitioned_inverse(info)
         assert err.value.block == "narrow"
+        # a study's worker process sends the error back pickled
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (type(copy), str(copy), copy.block) == (
+            SingularBlockError, str(err.value), "narrow")
 
     def test_singular_schur_complement(self):
         j11 = np.array([[2.0]])

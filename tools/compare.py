@@ -9,7 +9,12 @@ temporary directory, then, for each workload and each of --pairs pairs,
 runs `perfbench/run.py --seed 3 --trace 0` once in each copy, alternating
 which copy goes first. The JSON written to --out holds every run's result
 and, per end-to-end metric of BENCHMARK.json, the medians and quartiles of
-both copies and the number of pairs in which the change is better.
+both copies and the number of pairs in which the change is better. Each
+run's result also gets `process_tree`: the CPU seconds and the largest
+resident set (MB) of run.py and every process it waited for (its set-up
+probes and a study's worker processes), from os.wait4 (Linux), since
+run.py's own `peak_rss_mb` sees only its own process; they are summarized
+per workload as `process_tree` too.
 
 It then runs every pool outcome of both copies once, with perfbench's own
 `workloads.run_pass` and `checks.digest` (mc pools at seed 0, analytic
@@ -66,15 +71,26 @@ def clean_env() -> dict:
 
 
 def bench_run(tree: Path, workload: str, seconds: float) -> dict:
-    """One `perfbench/run.py` run in tree: its JSON result line."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(RUN_SEED),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, env=clean_env(),
-    )
-    if proc.returncode != 0:
-        raise SystemExit(f"compare: run.py failed in {tree.name}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    """One `perfbench/run.py` run in tree: its JSON result line, with the
+    `process_tree` usage that os.wait4 reports for it."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+             str(RUN_SEED), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, stdout=out, stderr=err, env=clean_env(),
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        if proc.returncode != 0:
+            raise SystemExit(f"compare: run.py failed in {tree.name}:\n{err.read().decode()}")
+        result = json.loads(out.read().decode().strip().splitlines()[-1])
+    result["process_tree"] = {
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "max_rss_mb": usage.ru_maxrss / 1024.0,  # Linux reports kilobytes
+    }
+    return result
 
 
 def quartiles(values) -> dict:
@@ -106,6 +122,14 @@ def summarize(runs, declared) -> dict:
             "median_gain_beyond_parent_iqr": gain > p["q3"] - p["q1"],
         }
     return out
+
+
+def summarize_process_tree(runs) -> dict:
+    return {
+        key: {side: quartiles([r[side]["process_tree"][key] for r in runs])
+              for side in ("parent", "change")}
+        for key in ("cpu_s", "max_rss_mb")
+    }
 
 
 def digest_tree(tree: Path, workload: str) -> dict:
@@ -190,11 +214,17 @@ def main(argv=None) -> int:
                 for side in order:
                     pair[side] = bench_run(trees[side], workload, args.seconds)
                     wall = pair[side]["metrics"]["wall_s"]["value"]
+                    tree = pair[side]["process_tree"]
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: wall_s {wall:.4g}, "
+                          f"cpu_s {tree['cpu_s']:.4g}, max_rss_mb {tree['max_rss_mb']:.4g}, "
                           f"correct {pair[side]['correct']}, failed {pair[side]['failed']}",
                           flush=True)
                 runs.append(pair)
-            result["workloads"][workload] = {"runs": runs, "metrics": summarize(runs, declared)}
+            result["workloads"][workload] = {
+                "runs": runs,
+                "metrics": summarize(runs, declared),
+                "process_tree": summarize_process_tree(runs),
+            }
         for workload in names:
             result["digests"][workload] = compare_digests(
                 digest_tree(trees["parent"], workload), digest_tree(trees["change"], workload)
