@@ -21,7 +21,10 @@ from .numerics import (
     DomainError,
     NumericsError,
     central_gradient,
+    each_that_holds,
     legendre_panels,
+    point_or_stack,
+    row_dots,
     rows_that_hold,
     std_normal_mills_ratio,
 )
@@ -37,11 +40,10 @@ class AEstimator:
 
     a_fn works entry by entry: each entry of a_fn(array) is, bit for bit,
     a_fn of that entry alone, so one replication's weight never depends on
-    its batch, and c hands a whole array to a_fn (an intended public change:
-    no option makes c loop over the entries). c0 is the continuation value
-    of the weight at z = 0 (the limit of a_hat(z)/z). Non-smooth rules list
-    their kink/jump locations in knots so quadrature can split there; a rule
-    without knots is integrated as a smooth one.
+    its batch, and c hands a whole array to a_fn. c0 is the continuation
+    value of the weight at z = 0 (the limit of a_hat(z)/z). Non-smooth
+    rules list their kink/jump locations in knots so quadrature can split
+    there; a rule without knots is integrated as a smooth one.
     """
 
     name: str
@@ -56,8 +58,7 @@ class AEstimator:
     def c(self, z):
         z = np.asarray(z, dtype=float)
         safe = np.where(z == 0.0, 1.0, z)
-        out = np.where(z == 0.0, self.c0, self.a_fn(safe) / safe)
-        return out if out.shape else float(out)
+        return point_or_stack(np.where(z == 0.0, self.c0, self.a_fn(safe) / safe))
 
     def spec_string(self) -> str:
         if not self.params:
@@ -69,12 +70,6 @@ class AEstimator:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
-
-
-def _row_dot(m, v):
-    """Each row of m (B, k) dotted with v (k,) on its own: a matrix-vector
-    product blocks rows together, so a row's bits would depend on B."""
-    return (m[:, None, :] @ v[:, None])[:, 0, 0]
 
 
 def narrow_rule() -> AEstimator:
@@ -140,13 +135,13 @@ def qhat_weight(z, eps: float = 0.05):
         u, w = legendre_panels((0.0, umax), nodes)
         t = np.tanh(u)
         kernel = np.exp(-0.5 * np.multiply.outer(z2[active], t * t))
-        ratio = _row_dot(kernel, w / np.cosh(u) ** 2) / _row_dot(kernel, w)
+        ratio = row_dots(kernel, w / np.cosh(u) ** 2) / row_dots(kernel, w)
         if previous is not None:
             settled = np.abs(ratio - previous) <= 1e-12 * (1.0 + np.abs(ratio))
             out[active[settled]] = ratio[settled]
             active, ratio = active[~settled], ratio[~settled]
             if not active.size:
-                return out.reshape(z.shape) if z.ndim else float(out[0])
+                return point_or_stack(out.reshape(z.shape))
         previous = ratio
     raise NumericsError("qhat weight quadrature did not stabilize")
 
@@ -435,8 +430,7 @@ def _joint(points, prior_weights, z):
 def _posterior_means(points, prior_weights, z):
     z = np.asarray(z, dtype=float)
     joint, evidence = _joint(points, prior_weights, np.ravel(z))
-    means = (_row_dot(joint, points) / evidence).reshape(z.shape)
-    return means if z.ndim else float(means)
+    return point_or_stack((row_dots(joint, points) / evidence).reshape(z.shape))
 
 
 def bayes_posterior(prior, z: float):
@@ -448,7 +442,7 @@ def bayes_posterior(prior, z: float):
     """
     points, prior_weights = _prior_nodes(prior)
     joint, evidence = _joint(points, prior_weights, np.array([float(z)]))
-    mean = float(_row_dot(joint, points)[0] / evidence[0])
+    mean = float(row_dots(joint, points)[0] / evidence[0])
     return Posterior(points, joint[0] / evidence[0], mean), mean
 
 
@@ -467,10 +461,6 @@ def bayes_estimator(prior, name: str = "bayes-custom") -> AEstimator:
 # combining fits
 
 
-def _float_or_array(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def z_statistic(gamma_hat, gamma0, kappa_hat, n: int):
     """Standardized departure sqrt(n)*(gamma_hat - gamma0)/kappa_hat.
 
@@ -480,7 +470,7 @@ def z_statistic(gamma_hat, gamma0, kappa_hat, n: int):
     if np.any(kappa_hat <= 0.0):
         raise ValueError("kappa estimate must be positive")
     dev = np.asarray(gamma_hat, dtype=float) - np.asarray(gamma0, dtype=float)
-    return _float_or_array(math.sqrt(n) * dev / kappa_hat)
+    return point_or_stack(math.sqrt(n) * dev / kappa_hat)
 
 
 def compromise_estimate(mu_narr, mu_wide, zn, est: AEstimator):
@@ -490,7 +480,7 @@ def compromise_estimate(mu_narr, mu_wide, zn, est: AEstimator):
     """
     c = np.asarray(est.c(zn), dtype=float)
     mu_narr, mu_wide = np.asarray(mu_narr, dtype=float), np.asarray(mu_wide, dtype=float)
-    return _float_or_array((1.0 - c) * mu_narr + c * mu_wide)
+    return point_or_stack((1.0 - c) * mu_narr + c * mu_wide)
 
 
 def harmonic_compromise(mu_narr: float, mu_wide: float, zn: float, h: Callable) -> float:
@@ -511,7 +501,7 @@ def debias_estimate(mu_narr, b, gamma_hat, gamma0):
     Elementwise over arrays; scalar inputs give a float.
     """
     dev = np.asarray(gamma_hat, dtype=float) - np.asarray(gamma0, dtype=float)
-    return _float_or_array(np.asarray(mu_narr, dtype=float) - np.asarray(b, dtype=float) * dev)
+    return point_or_stack(np.asarray(mu_narr, dtype=float) - np.asarray(b, dtype=float) * dev)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +544,7 @@ class FitResult:
 
     A narrow fit is closed when the model sets narrow_fit_exact, a wide
     fit when it sets wide_fit_exact, and Newton's otherwise; FitResult does
-    not record which (an intended public change: its method field is gone).
+    not record which.
     """
 
     params: np.ndarray
@@ -630,9 +620,9 @@ def _profile_top(f, x, origin) -> float:
 def maximize_loglik(f, x0, *, departure=None):
     """Safeguarded Newton ascent with step-halving, at most 200 steps.
 
-    f maps a point (k,) to its value and a stack (m, k) to its m values (an
-    intended public change): each iteration takes its finite-difference
-    gradient and Hessian from one call of f on a stack (_fd_derivatives).
+    f maps a point (k,) to its value and a stack (m, k) to its m values:
+    each iteration takes its finite-difference gradient and Hessian from
+    one call of f on a stack (_fd_derivatives).
     Returns (x, loglik, iterations, grad_norm). A point is certified when
     its gradient norm is at most 1e-8*(1+|loglik|), or, when no halving of
     an ascending Newton step raises f, when the Newton decrement
@@ -721,9 +711,9 @@ def _fit_result(model, wide, params, loglik, gnorm, iterations):
         params=params,
         theta=params[..., :p],
         gamma=params[..., p:] if wide else None,
-        loglik=_float_or_array(loglik),
+        loglik=point_or_stack(loglik),
         iterations=iterations,
-        grad_norm=_float_or_array(gnorm),
+        grad_norm=point_or_stack(gnorm),
     )
 
 
@@ -858,28 +848,21 @@ def fit_rows(model: ModelSpec, y, design: Design, wide: bool) -> tuple:
     time, on each row of the stack y that holds: (the stacked FitResult of
     the rows kept, or None if no row is, and their indices).
 
-    wide alone names the fit (an intended public change: it is no longer an
-    argument), so a wrapper installed on either fit, as perfbench's spans
-    are, sees each call. This is the one place that leaves failing fit rows
-    out. A closed
-    form fits the whole stack in one call when every row holds; otherwise
-    each row is fitted alone and the rows that hold are fitted again as one
-    stack (numerics.rows_that_hold). A Newton fit is called on each row, and
-    a row that raises a NumericsError is left out. The rows are separate
-    calls so that each stays a fit of its own: perfbench's per-fit spans
-    and its failure ledger count them so.
+    wide alone names the fit, so a wrapper installed on either fit, as
+    perfbench's spans are, sees each call. This is the one place of the fit
+    layer that leaves failing fit rows out. A closed form fits the whole
+    stack in one call when every row holds; otherwise each row is fitted
+    alone and the rows that hold are fitted again as one stack
+    (numerics.rows_that_hold). A Newton fit is called on each row, and a
+    row that raises a NumericsError is left out (numerics.each_that_holds).
+    The rows are separate calls so that each stays a fit of its own:
+    perfbench's per-fit spans and its failure ledger count them so.
     """
     fit = fit_wide if wide else fit_narrow
     if (model.wide_fit_exact if wide else model.narrow_fit_exact) is not None:
         return rows_that_hold(lambda rows: fit(model, y[rows], design), len(y))
-    fits, kept = [], []
-    for r, row in enumerate(y):
-        try:
-            fits.append(fit(model, row, design))
-        except NumericsError:
-            continue
-        kept.append(r)
-    return (_stacked(model, wide, fits) if fits else None), np.array(kept, dtype=int)
+    fits, kept = each_that_holds(lambda row: fit(model, row, design), y)
+    return (_stacked(model, wide, fits) if fits else None), kept
 
 
 def fit_narrow(model: ModelSpec, y, design: Design) -> FitResult:

@@ -49,6 +49,7 @@ from .models import Design, ModelSpec
 from .numerics import (
     NumericsError,
     PartitionedInfo,
+    each_that_holds,
     partitioned_inverse,
     replication_rng,
     rows_that_hold,
@@ -174,12 +175,9 @@ def _checked_failures(config: StudyConfig, failures: int) -> int:
     return failures
 
 
-def _entries(config: StudyConfig, blocks) -> list:
-    """The fit entries of one cell's blocks, in order; aborts if there are none."""
-    out = [entry for block in blocks for entry in block]
-    if not out:
-        _checked_failures(config, config.replications)  # every one failed: aborts
-    return out
+def _entries(blocks) -> list:
+    """The fit entries of one cell's blocks, in order."""
+    return [entry for block in blocks for entry in block]
 
 
 def _fit_block(config: StudyConfig, job, start: int):
@@ -191,12 +189,10 @@ def _fit_block(config: StudyConfig, job, start: int):
     fit_block returns one entry per row it keeps.
     """
     gamma, design, fit_block = job
-    draws = []
-    for r in range(start, min(start + BLOCK_ROWS, config.replications)):
-        try:
-            draws.append(_draw(config, r, gamma, design))
-        except NumericsError:
-            pass
+    draws, _ = each_that_holds(
+        lambda r: _draw(config, r, gamma, design),
+        range(start, min(start + BLOCK_ROWS, config.replications)),
+    )
     return fit_block(np.array(draws)) if draws else []
 
 
@@ -224,20 +220,19 @@ def _fit_each(config: StudyConfig, jobs):
     """Yields an iterator over the fit entries of each job, in order.
 
     A job (gamma, design, fit_block) is one cell's fits; its entries are
-    those of its blocks (_fit_block), in order, and a cell with none aborts
-    the study. With one process the blocks of a job are fitted when the
-    iterator reaches it. Otherwise every block of every job is submitted
-    at once to a pool of forked processes, which inherit config and jobs,
-    so that no closure is pickled; the results are read in order, so the
-    entries are the same. Leaving the context cancels the blocks not yet
-    started and joins the workers, also when the caller raises. A worker's
-    exception is raised again here, and a worker that dies raises
-    BrokenProcessPool.
+    those of its blocks (_fit_block), in order. With one process the
+    blocks of a job are fitted when the iterator reaches it. Otherwise
+    every block of every job is submitted at once to a pool of forked
+    processes, which inherit config and jobs, so that no closure is
+    pickled; the results are read in order, so the entries are the same.
+    Leaving the context cancels the blocks not yet started and joins the
+    workers, also when the caller raises. A worker's exception is raised
+    again here, and a worker that dies raises BrokenProcessPool.
     """
     starts = range(0, config.replications, BLOCK_ROWS)
     processes = _pool_size(config, len(jobs) * len(starts))
     if processes == 1:
-        yield (_entries(config, [_fit_block(config, job, s) for s in starts]) for job in jobs)
+        yield (_entries(_fit_block(config, job, s) for s in starts) for job in jobs)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -257,7 +252,7 @@ def _fit_each(config: StudyConfig, jobs):
                 DeprecationWarning,
             )
             futures = [[pool.submit(_worker_block, j, s) for s in starts] for j in range(len(jobs))]
-        yield (_entries(config, [f.result() for f in job]) for job in futures)
+        yield (_entries(f.result() for f in job) for job in futures)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -288,15 +283,19 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     """Estimate the tolerance radius scale from simulated null data.
 
     score-cov fits the narrow model and takes the empirical covariance of
-    the per-observation wide scores there; full-ml-cov scales the
-    empirical covariance of the wide ML estimates by n; gamma-sd is the
-    standard deviation of sqrt(n)*(gamma_hat - gamma0). The first two also
-    return the matrix they estimated. score-cov's kappa is the mean of the
-    per-replication plug-in kappas and its se is their spread over
-    sqrt(replications): se does not bound score-cov's finite-n bias, which
-    read +1% to +7% against the analytic kappa at n = 400 on every
-    built-in. The study runs at one sample size, so config.n_list must hold
-    exactly one; a longer list raises ValueError.
+    the per-observation wide scores there; it also returns their mean as
+    info. Its kappa is the mean of the per-replication plug-in kappas and
+    its se is their spread over sqrt(replications): se does not bound
+    score-cov's finite-n bias, which read +1% to +7% against the analytic
+    kappa at n = 400 on every built-in. full-ml-cov and gamma-sd are one
+    estimate from the wide ML fits: with one departure parameter
+    (StudyConfig rejects more), the gamma entry of n times the empirical
+    covariance of the wide estimates is the variance of
+    sqrt(n)*(gamma_hat - gamma0), so both report that standard deviation
+    as kappa, with the same kappa and se bit for bit; full-ml-cov also
+    returns the scaled covariance as inverse_info. The study runs at one
+    sample size, so config.n_list must hold exactly one; a longer list
+    raises ValueError.
     """
     if len(config.n_list) != 1:
         raise ValueError(
@@ -313,15 +312,13 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     if method == "score-cov":
         def score_covariances(ys):
             narrow, kept = fit_rows(model, ys, design, wide=False)
-            out = []
-            for j, i in enumerate(kept):
-                try:
-                    scores = np.column_stack(model.score_null(ys[i], design, narrow.theta[j]))
-                except NumericsError:
-                    continue
+
+            def covariance(j):
+                scores = np.column_stack(model.score_null(ys[kept[j]], design, narrow.theta[j]))
                 centered = scores - scores.mean(axis=0)
-                out.append(centered.T @ centered / n)
-            return out
+                return centered.T @ centered / n
+
+            return each_that_holds(covariance, range(len(kept)))[0]
 
         with _fit_each(config, [(gamma0, design, score_covariances)]) as fitted:
             infos = np.array(next(fitted))
@@ -347,12 +344,7 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
     with _fit_each(config, [(gamma0, design, wide_params)]) as fitted:
         params = np.array(next(fitted))
     failures = _checked_failures(config, reps - len(params))
-    scaled = None
-    if method == "full-ml-cov":
-        scaled = n * np.cov(params.T, ddof=1).reshape(p + 1, p + 1)
-        kap = math.sqrt(float(scaled[p, p]))
-    else:
-        kap = float(np.std(math.sqrt(n) * (params[:, p] - gamma0[0]), ddof=1))
+    kap = float(np.std(math.sqrt(n) * (params[:, p] - gamma0[0]), ddof=1))
     return KappaStudy(
         method=method,
         n=n,
@@ -360,7 +352,9 @@ def kappa_by_simulation(config: StudyConfig) -> KappaStudy:
         failures=failures,
         kappa=kap,
         se=kap / math.sqrt(2.0 * (len(params) - 1)),
-        inverse_info=scaled,
+        inverse_info=(
+            n * np.cov(params.T, ddof=1).reshape(p + 1, p + 1) if method == "full-ml-cov" else None
+        ),
     )
 
 
@@ -434,28 +428,27 @@ def _fit_both(model: ModelSpec, design, estimand):
     def fit_both(ys):
         narrow, kept = fit_rows(model, ys, design, wide=False)
         wide, kept_wide = fit_rows(model, ys[kept], design, wide=True)
-        out = []
-        for j, i in enumerate(kept_wide):
-            theta = narrow.theta[i]
-            try:
-                out.append((
-                    theta,
-                    float(wide.gamma[j, 0]),
-                    estimand(theta, gamma0),
-                    estimand(wide.theta[j], wide.gamma[j]),
-                ))
-            except NumericsError:
-                pass
-        return out
+
+        def entry(j):
+            theta = narrow.theta[kept_wide[j]]
+            return (
+                theta,
+                float(wide.gamma[j, 0]),
+                estimand(theta, gamma0),
+                estimand(wide.theta[j], wide.gamma[j]),
+            )
+
+        return each_that_holds(entry, range(len(kept_wide)))[0]
 
     return fit_both
 
 
 def _cell(config: StudyConfig, n: int, delta: float, design, estimand, fits) -> _Cell:
     """One cell from its fit entries: the plug-in geometry at all the
-    narrow fits at once, and the rows it holds on."""
+    narrow fits at once, and the rows it holds on. A cell with no entry, or
+    with none that the geometry holds on, aborts the study."""
     model = config.model
-    thetas, gamma_hat, mu_n, mu_w = map(np.array, zip(*fits))
+    thetas, gamma_hat, mu_n, mu_w = (np.array([entry[i] for entry in fits]) for i in range(4))
     geom, kept = rows_that_hold(
         lambda rows: limit_geometry(model, design, estimand, theta=thetas[rows]), len(thetas)
     )

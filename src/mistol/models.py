@@ -135,9 +135,8 @@ class Estimand:
     """A scalar focus parameter mu(theta, gamma).
 
     gradient(theta, gamma) -> (d mu / d theta, d mu / d gamma), when given,
-    is the closed gradient (it replaced the pair grad_theta, grad_gamma);
-    otherwise gradients are central finite differences with step
-    1e-6*(1+|coordinate|).
+    is the closed gradient; otherwise gradients are central finite
+    differences with step 1e-6*(1+|coordinate|).
     """
 
     name: str
@@ -235,8 +234,7 @@ class ModelSpec:
 
     @property
     def default_estimand(self) -> str:
-        """The first key of estimand_factories ("" if it has none); a
-        read-only property since it replaced a field of the same name."""
+        """The first key of estimand_factories ("" if it has none)."""
         return next(iter(self.estimand_factories), "")
 
     @property
@@ -1121,7 +1119,7 @@ def _bernoulli(name: str, param_names, theta0, gamma0, column, wide_prob, depart
     information_generic on it (neither built-in has a closed_information).
     The estimand prob-at is the wide success probability at covariate value
     x0, by default the largest, named prob-at(x0=<x0 as %g>) for both
-    built-ins (an intended public change).
+    built-ins.
     """
 
     def null_probs(design, theta):

@@ -94,6 +94,19 @@ def noncentral_chisq_cdf(x: float, df: int, ncp: float) -> float:
     return float(special.chndtr(x, df, ncp))
 
 
+def point_or_stack(x):
+    """x as a float when it is 0-d, otherwise as it is: a function of a
+    point gives a float, of a stack an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def row_dots(x, y):
+    """Each row of x (B, k) dotted on its own with y (k,), or with the same
+    row of y (B, k): a matrix product blocks rows together, so a row's bits
+    would depend on B."""
+    return (x[:, None, :] @ y[..., None])[:, 0, 0]
+
+
 def central_gradient(fn, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar fn at x, step 1e-6*(1+|x_j|).
 
@@ -156,7 +169,8 @@ def knot_panels(lo: float, hi: float, knots=()):
     """Gauss-Legendre nodes z and weights w for integrals over [lo, hi] of
     an integrand with kinks or jumps at the knots: [lo, hi] is split at the
     knots inside it, each piece is cut into equal panels of width <= 2, and
-    each panel gets 60 points, so that the knots land on panel boundaries. w @ f(z) approximates the integral of f from lo to hi.
+    each panel gets 60 points, so that the knots land on panel boundaries.
+    w @ f(z) approximates the integral of f from lo to hi.
     """
     splits = sorted({lo, hi, *(float(k) for k in knots if lo < float(k) < hi)})
     edges = [lo]
@@ -197,8 +211,7 @@ class PartitionedInfo:
     replication; it is stored as 0.5*(m + m') and must be symmetric to
     1e-8 relative entry by entry. j11 is the p x p block for the protected
     parameters, j22 the q x q block for the departure parameters, j12 the
-    p x q cross block: views of matrix. (An intended public change: the
-    constructor from three blocks and from_full are gone.)
+    p x q cross block: views of matrix.
     """
 
     matrix: np.ndarray
@@ -228,9 +241,24 @@ class PartitionedInfo:
         return self.matrix[..., self.p:, self.p:]
 
 
+def each_that_holds(fn, items):
+    """fn(item) for each item that does not raise a NumericsError, in order,
+    and the indices of those items as an int array. This is the one rule
+    that leaves a failing item out; any other exception propagates."""
+    values, kept = [], []
+    for i, item in enumerate(items):
+        try:
+            values.append(fn(item))
+        except NumericsError:
+            continue
+        kept.append(i)
+    return values, np.array(kept, dtype=int)
+
+
 def rows_that_hold(evaluate, count: int):
     """evaluate(rows) on every row index at once, or, if a numerical
-    failure stops that, on the rows that do not raise it on their own.
+    failure stops that, on the rows that do not raise it on their own
+    (each_that_holds).
 
     Returns (values, rows kept). evaluate is never called on an empty set
     of rows; values is then None.
@@ -241,15 +269,8 @@ def rows_that_hold(evaluate, count: int):
             return evaluate(rows), rows
         except NumericsError:
             pass
-    kept = []
-    for r in range(count):
-        try:
-            evaluate(rows[r:r + 1])
-        except NumericsError:
-            continue
-        kept.append(r)
-    rows = np.array(kept, dtype=int)
-    return (evaluate(rows) if rows.size else None), rows
+    _, kept = each_that_holds(lambda r: evaluate(rows[r:r + 1]), range(count))
+    return (evaluate(kept) if kept.size else None), kept
 
 
 def _chol_inverse(m: np.ndarray, block: str, scale=None) -> np.ndarray:
@@ -282,9 +303,7 @@ class PartitionedInverse:
 
     inv22 is the lower-right block of the full inverse: the limiting
     covariance of the departure-parameter estimator in the wide model.
-    j11_inv is the inverse of the narrow block. (An intended public
-    change: the upper-left and cross blocks of the full inverse, inv11 and
-    inv12, are no longer computed.)
+    j11_inv is the inverse of the narrow block.
     """
 
     inv22: np.ndarray

@@ -22,6 +22,8 @@ from .numerics import (
     _check_finite,
     knot_panels,
     partitioned_inverse,
+    point_or_stack,
+    row_dots,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -49,11 +51,11 @@ class LimitGeometry:
 
     @property
     def tau0(self) -> float:
-        return _sqrt(self.tau0_sq)
+        return point_or_stack(np.sqrt(self.tau0_sq))
 
     @property
     def tau(self) -> float:
-        return _sqrt(self.tau_sq)
+        return point_or_stack(np.sqrt(self.tau_sq))
 
     @property
     def rho(self) -> float:
@@ -63,10 +65,6 @@ class LimitGeometry:
     def shift_at(self, delta: float) -> float:
         """Departure measured in tolerance units, a = delta/kappa."""
         return float(delta) / self.kappa
-
-
-def _sqrt(x):
-    return np.sqrt(x) if np.ndim(x) else math.sqrt(x)
 
 
 def limit_geometry(
@@ -182,7 +180,7 @@ def risk_closed_form(kind: str, a, *, m: float = 1.0, c: float = 0.5):
         )
     else:
         raise ValueError(f"no closed-form risk for kind {kind!r}")
-    return out if out.shape else float(out)
+    return point_or_stack(out)
 
 
 _WINDOW = 8.0  # a shift integrates over at least [a - 8, a + 8]
@@ -208,12 +206,6 @@ def _lattice_nodes(est: AEstimator, panels):
         k: (nodes, w, part)
         for k, (nodes, w), part in zip(panels, built, np.split(f, ends[:-1]))
     }
-
-
-def _row_dots(x, y):
-    """Row i of x (S, n) dotted with row i of y, each on its own, so that a
-    row's bits do not depend on S."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _expected_loss(est: AEstimator, a, loss):
@@ -257,8 +249,8 @@ def _expected_loss(est: AEstimator, a, loss):
             at, shift = begin[sel, None] + np.arange(size), shifts[sel, None]
             weight = w[at] * np.exp(-0.5 * (z[at] - shift) ** 2)  # phi(z - a) but its constant
             values = _check_finite(loss(f[at] - shift), "risk quadrature")
-            out[rows[sel]] = _row_dots(weight, values) / _row_dots(weight, np.ones_like(values))
-    return out.reshape(a_arr.shape) if a_arr.ndim else float(out[0])
+            out[rows[sel]] = row_dots(weight, values) / row_dots(weight, np.ones_like(values))
+    return point_or_stack(out.reshape(a_arr.shape))
 
 
 def risk_numeric(est: AEstimator, a):
@@ -273,8 +265,7 @@ def risk_numeric(est: AEstimator, a):
 def mean_abs_normal(shift):
     """E|shift + N(0,1)|, even in the shift, sqrt(2/pi) at zero."""
     x = np.asarray(shift, dtype=float)
-    out = x * (2.0 * std_normal_cdf(x) - 1.0) + 2.0 * std_normal_pdf(x)
-    return out if out.shape else float(out)
+    return point_or_stack(x * (2.0 * std_normal_cdf(x) - 1.0) + 2.0 * std_normal_pdf(x))
 
 
 def l1_risk(est: AEstimator, a, rho: float):

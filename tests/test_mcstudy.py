@@ -150,6 +150,26 @@ class TestKappaBySimulation:
         # the departure block of n*Cov should approximate kappa^2
         assert study.inverse_info[1, 1] == pytest.approx(study.kappa**2, rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["weibull-vs-exp", "gamma-vs-exp", "linreg-covariate"])
+    def test_full_ml_cov_and_gamma_sd_are_one_estimate(self, name):
+        config = StudyConfig(model=get_model(name), n_list=(200,), replications=100, seed=3)
+        full, sd = (
+            kappa_by_simulation(dataclasses.replace(config, kappa_method=method))
+            for method in ("full-ml-cov", "gamma-sd")
+        )
+        assert (full.failures, full.kappa, full.se) == (sd.failures, sd.kappa, sd.se)
+        assert sd.inverse_info is None and full.inverse_info is not None
+        k = config.model.p + 1
+        assert full.inverse_info.shape == (k, k)
+        assert full.inverse_info[-1, -1] == pytest.approx(full.kappa**2, rel=1e-12)
+
+    def test_only_full_ml_cov_returns_inverse_info(self):
+        returned = {
+            method: kappa_by_simulation(weibull_config(kappa_method=method)).inverse_info
+            for method in KAPPA_METHODS
+        }
+        assert [m for m, inv in returned.items() if inv is not None] == ["full-ml-cov"]
+
     def test_one_sample_size(self):
         config = weibull_config(kappa_method="gamma-sd", n_list=(60, 120))
         with pytest.raises(ValueError, match="one sample size; n lists 2"):
@@ -209,6 +229,39 @@ class TestFailureAccounting:
         )
         with pytest.raises(StudyError):
             kappa_by_simulation(config)
+
+    @pytest.mark.parametrize("study, method", [
+        (finite_sample_mse, None), (coverage_study, None),
+        *((kappa_by_simulation, method) for method in KAPPA_METHODS),
+    ])
+    def test_a_cell_without_replications_aborts(self, study, method):
+        config = StudyConfig(
+            model=failing_sampler_model(1.0), kappa_method=method or "score-cov",
+            n_list=(50,), replications=100, seed=555,
+        )
+        with pytest.raises(StudyError, match="^100 of 100 replications failed; aborting"):
+            study(config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_first_failing_cell_aborts(self, workers):
+        # every draw away from the null fails, and about half at the null
+        base = get_model("weibull-vs-exp")
+        seed, reps = 555, 100
+
+        def sampler(theta, gamma, design, rng):
+            if float(gamma[0]) != 1.0 or float(rng.uniform()) < 0.5:
+                raise DomainError("synthetic sampler failure")
+            return base.sampler(theta, gamma, design, rng)
+
+        half = sum(float(replication_rng(seed, r).uniform()) < 0.5 for r in range(reps))
+        assert 0 < half < reps
+        for grid, failed in (((0.0, 0.5), half), ((0.5, 0.0), reps)):
+            config = StudyConfig(
+                model=dataclasses.replace(base, sampler=sampler), delta_grid=grid,
+                n_list=(50,), replications=reps, seed=seed, workers=workers,
+            )
+            with pytest.raises(StudyError, match=f"^{failed} of {reps} replications failed"):
+                finite_sample_mse(config)
 
     def test_mse_study_reports_failures(self):
         seed, reps = 777, 150

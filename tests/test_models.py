@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, optimize, special
 
 from mistol import estimators
 from mistol.models import (
@@ -535,6 +535,50 @@ class TestDepartureScoreSize:
         got = float(mean_abs_departure_score(model, design)[0])
         # exact value of E0|1 + log W - W log W| for W ~ Exp(1)
         assert got == pytest.approx(0.924742583657, abs=5e-4)
+
+    @staticmethod
+    def split_quad(f, roots):
+        """int_0^inf |f(w)| e^{-w} dw by scipy quad, split at the roots of f."""
+        edges = [0.0, *roots, math.inf]
+        return sum(
+            integrate.quad(lambda w: abs(f(w)) * math.exp(-w), a, b, epsabs=0.0, epsrel=1e-12,
+                           limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+
+    def test_gamma_mean_abs_departure_score_against_quad(self):
+        model = get_model("gamma-vs-exp")
+        got = float(mean_abs_departure_score(model, model.default_design(10))[0])
+        # V = log W + Euler's gamma for W ~ Exp(1), with its root at exp(-gamma)
+        want = self.split_quad(lambda w: math.log(w) + np.euler_gamma, [math.exp(-np.euler_gamma)])
+        assert got == pytest.approx(want, rel=1e-5, abs=0.0)
+
+    def test_weibull_mean_abs_departure_score_against_quad(self):
+        model = get_model("weibull-vs-exp")
+        got = float(mean_abs_departure_score(model, model.default_design(10))[0])
+
+        def v(w):  # V = 1 + log W - W log W for W ~ Exp(1)
+            return 1.0 + math.log(w) - w * math.log(w)
+
+        roots = [optimize.brentq(v, 1e-3, 1.0, xtol=1e-15), optimize.brentq(v, 1.0, 10.0, xtol=1e-15)]
+        assert got == pytest.approx(self.split_quad(v, roots), rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["logistic-quadratic", "logistic-eta"])
+    def test_bernoulli_mean_abs_departure_score_is_exact(self, name):
+        # E|y - p| = 2p(1 - p), so E|V| is 2p(1 - p)t^2 for the quadratic
+        # departure e t^2 and 2p|log p| for the power departure e log p/(1 - p)
+        model = get_model(name)
+        design = model.default_design(40)
+        x = design.column(0)
+        if name == "logistic-quadratic":
+            t = x - np.mean(x)
+            p = special.expit(t)
+            want = np.mean(2.0 * p * (1.0 - p) * t * t)
+        else:
+            p = special.expit(x)
+            want = np.mean(2.0 * p * np.abs(np.log(p)))
+        got = float(mean_abs_departure_score(model, design)[0])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_exact_fits_two_sample(self):
         model = get_model("two-sample")

@@ -13,10 +13,13 @@ from mistol.numerics import (
     PartitionedInfo,
     SingularBlockError,
     chisq_quantile,
+    each_that_holds,
     knot_panels,
     noncentral_chisq_cdf,
     partitioned_inverse,
+    point_or_stack,
     replication_rng,
+    row_dots,
     rows_that_hold,
     shifted_normal_nodes,
     std_normal_cdf,
@@ -367,3 +370,49 @@ class TestRowsThatHold:
         for count in (0, 3):
             values, kept = rows_that_hold(fails, count)
             assert values is None and kept.size == 0
+
+
+class TestEachThatHolds:
+    def test_numerical_failures_are_left_out_in_order(self):
+        def root(x):
+            if x < 0.0:
+                raise DomainError(f"{x} is negative")
+            if x == 9.0:
+                raise NumericsError("nine fails")
+            return math.sqrt(x)
+
+        values, kept = each_that_holds(root, [4.0, -1.0, 9.0, 16.0, -2.0, 1.0])
+        assert values == [2.0, 4.0, 1.0]
+        assert kept.dtype == int and kept.tolist() == [0, 3, 5]
+
+    def test_no_items(self):
+        values, kept = each_that_holds(math.sqrt, [])
+        assert values == [] and kept.dtype == int and kept.size == 0
+
+    def test_other_errors_propagate(self):
+        def typed(x):
+            if x == 2:
+                raise TypeError("not a numerical failure")
+            raise NumericsError("left out")
+
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            each_that_holds(typed, [1, 2, 3])
+
+
+class TestRowHelpers:
+    def test_row_dots_keep_each_rows_bits(self):
+        rng = np.random.default_rng(4)
+        x, y, v = rng.normal(size=(7, 300)), rng.normal(size=(7, 300)), rng.normal(size=300)
+        for other in (v, y):
+            stacked = row_dots(x, other)
+            alone = [row_dots(x[i:i + 1], other if other.ndim == 1 else other[i:i + 1])[0]
+                     for i in range(7)]
+            assert stacked.tolist() == alone
+            assert np.allclose(stacked, np.sum(x * other, axis=1), rtol=1e-12, atol=1e-12)
+
+    def test_point_or_stack(self):
+        assert type(point_or_stack(np.float64(2.5))) is float
+        assert type(point_or_stack(np.array(2.5))) is float
+        assert point_or_stack(3) == 3.0 and type(point_or_stack(3)) is float
+        stack = np.arange(3.0)
+        assert point_or_stack(stack) is stack
